@@ -8,7 +8,6 @@ for byte, so any hidden nondeterminism fails loudly.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import tempfile
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, SpeedSequence
+from .core import RngStream, SpeedSequence, write_csv
 from .processes import (
     GOLDEN,
     CircleWalkSpec,
@@ -77,14 +76,6 @@ def format_results(results) -> str:
     return "\n".join(lines)
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 # ---------------------------------------------------------------------------
 # data pass
 
@@ -127,8 +118,8 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
             ("circle", "covariance_series", cov_c.value, cov_c.se),
             ("circle", "fourier_closed_form", exact_c.value, 0.0),
             ("circle", "brute_200_lags", brute, 0.0)]
-    _write_csv(os.path.join(out_dir, "c2_sigma2.csv"),
-               ("model", "method", "value", "se"), rows)
+    write_csv(os.path.join(out_dir, "c2_sigma2.csv"),
+              ("model", "method", "value", "se"), rows)
     data["c2"] = {"cov_d": cov_d, "dy_d": dy_d, "cov_c": cov_c,
                   "exact_c": exact_c, "brute": brute,
                   "seconds": time.perf_counter() - t0}
@@ -166,9 +157,9 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
                              r.verdict))
             if r.verdict != "dominated":
                 violated.append((label, r.threshold))
-    _write_csv(os.path.join(out_dir, "c3_domination.csv"),
-               ("combo", "threshold", "bound", "p_hat", "ci_upper", "verdict"),
-               dom_rows)
+    write_csv(os.path.join(out_dir, "c3_domination.csv"),
+              ("combo", "threshold", "bound", "p_hat", "ci_upper", "verdict"),
+              dom_rows)
     data["c3"] = {"violated": violated, "rows": len(dom_rows),
                   "seconds": time.perf_counter() - t0}
 
@@ -181,11 +172,11 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
     h = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + x)
     fq = GridFunction.from_callable(lambda x: x * (1 - x))
     dual_gap = pf_duality_gap(2, h, fq)
-    _write_csv(os.path.join(out_dir, "c4_transfer.csv"),
-               ("check", "value"),
-               [("pf_cos_residual", pf_residual),
-                ("fitted_rho", float(decay.rho)),
-                ("duality_gap", dual_gap)])
+    write_csv(os.path.join(out_dir, "c4_transfer.csv"),
+              ("check", "value"),
+              [("pf_cos_residual", pf_residual),
+               ("fitted_rho", float(decay.rho)),
+               ("duality_gap", dual_gap)])
     data["c4"] = {"pf_residual": pf_residual, "rho": decay.rho,
                   "dual_gap": dual_gap, "seconds": time.perf_counter() - t0}
 
@@ -198,8 +189,8 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
         fib.append(fib[-1] + fib[-2])
     fib_ok = all(c.p == fib[c.k] and c.q == fib[c.k + 1] for c in convs)
     audit = badly_approximable_audit(g, eps=0.1, K=10**5)
-    _write_csv(os.path.join(out_dir, "c5_diophantine.csv"),
-               ("k", "p", "q"), [(c.k, c.p, c.q) for c in convs])
+    write_csv(os.path.join(out_dir, "c5_diophantine.csv"),
+              ("k", "p", "q"), [(c.k, c.p, c.q) for c in convs])
     data["c5"] = {"fib_ok": fib_ok, "audit": audit,
                   "seconds": time.perf_counter() - t0}
 
@@ -231,8 +222,8 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
         verdict, estimate, _ = check_class_L(c, enforce_concavity=False)
         gamma_verdicts[gamma] = verdict
         cond_rows.append((f"modulus_gamma_{gamma}", "integral", verdict))
-    _write_csv(os.path.join(out_dir, "c6_conditions.csv"),
-               ("model", "bis_or_kind", "mw_or_verdict"), cond_rows)
+    write_csv(os.path.join(out_dir, "c6_conditions.csv"),
+              ("model", "bis_or_kind", "mw_or_verdict"), cond_rows)
     data["c6"] = {"rows": cond_rows, "implication_ok": implication_ok,
                   "gamma": gamma_verdicts, "seconds": time.perf_counter() - t0}
 
@@ -262,8 +253,8 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
         worst["endpoint"] = max(
             worst["endpoint"],
             abs(endpoint_rate(x, s2) - rate_I(lin, s2)) / max(1.0, abs(x * x / s2)))
-    _write_csv(os.path.join(out_dir, "c7_rates.csv"),
-               ("check", "worst_rel_error"), sorted(worst.items()))
+    write_csv(os.path.join(out_dir, "c7_rates.csv"),
+              ("check", "worst_rel_error"), sorted(worst.items()))
     data["c7"] = {"worst": worst, "seconds": time.perf_counter() - t0}
 
     # 8. block-martingale decomposition --------------------------------------
@@ -272,10 +263,10 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
     dec = block_martingale_decompose(circle, path, m=8, check_blocks=16)
     s_n = float(np.sum(path.values))
     rec_err = abs(dec.reconstruct() - s_n)
-    _write_csv(os.path.join(out_dir, "c8_decompose.csv"),
-               ("check", "value"),
-               [("cond_mean_check", dec.cond_mean_check),
-                ("reconstruction_error", rec_err)])
+    write_csv(os.path.join(out_dir, "c8_decompose.csv"),
+              ("check", "value"),
+              [("cond_mean_check", dec.cond_mean_check),
+               ("reconstruction_error", rec_err)])
     data["c8"] = {"cond_mean_check": dec.cond_mean_check, "rec_err": rec_err,
                   "seconds": time.perf_counter() - t0}
     return data

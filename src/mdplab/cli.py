@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import RngStream, SpeedSequence
+from .core import RngStream, SpeedSequence, write_csv
 from .processes import model_from_config
 from .transfer import sup_norm_decay
 from .conditions import check_bis, check_mw
@@ -28,7 +28,7 @@ from .variance import (
     sigma2_dyadic,
     sigma2_var_sn,
 )
-from .inequalities import verify_domination
+from .inequalities import BOUND_KINDS, verify_domination
 from .mdp import block_martingale_decompose, mdp_scan
 from .diophantine import (
     IrrationalSpec,
@@ -56,6 +56,11 @@ _PARAM_KEYS = {
     "decompose": {"n", "m"},
 }
 
+_REQUIRED_PARAMS = {
+    "inequality": {"bound", "thresholds"},
+    "mdp-scan": {"n_grid", "x_grid", "sigma2"},
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -81,6 +86,12 @@ def _load_config(path: str) -> dict:
     bad = set(params) - _PARAM_KEYS[task]
     if bad:
         raise ConfigError(f"unknown params for task {task}: {sorted(bad)}")
+    missing = _REQUIRED_PARAMS.get(task, set()) - set(params)
+    if missing:
+        raise ConfigError(f"missing params for task {task}: {sorted(missing)}")
+    if task == "inequality" and not (isinstance(params["bound"], dict)
+                                     and params["bound"].get("kind") in BOUND_KINDS):
+        raise ConfigError(f"param bound must be an object with kind in {BOUND_KINDS}")
     seed = cfg.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
@@ -90,12 +101,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _model(cfg: dict):
+    spec = cfg.get("model")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"task {cfg['task']} needs a 'model' object")
+    try:
+        return model_from_config(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid model: {exc}") from exc
 
 
 def _irrational_from_cfg(spec) -> IrrationalSpec:
@@ -111,7 +124,8 @@ def _run_task(cfg: dict, out_dir: str) -> int:
     params = dict(cfg.get("params", {}))
     seed = cfg.get("seed", DEFAULT_SEED)
     stream = RngStream(seed)
-    model = model_from_config(cfg["model"]) if "model" in cfg else None
+    fourier = task == "sigma2" and params.get("method") == "fourier_closed_form"
+    model = None if task == "diophantine" or fourier else _model(cfg)
 
     if task == "simulate":
         n = params.get("n", 1024)
@@ -121,13 +135,15 @@ def _run_task(cfg: dict, out_dir: str) -> int:
             path = model.sample(n, stream.named("simulate", r))
             s = np.cumsum(path.values)
             rows.append((r, float(s[-1]), float(np.max(np.abs(s)))))
-        _write_csv(os.path.join(out_dir, "simulate.csv"),
-                   ("replica", "s_n", "max_abs_partial_sum"), rows)
+        write_csv(os.path.join(out_dir, "simulate.csv"),
+                  ("replica", "s_n", "max_abs_partial_sum"), rows)
         return 0
 
     if task == "sigma2":
         method = params.get("method", "covariance_series")
-        if method == "fourier_closed_form":
+        if fourier:
+            if not {"coeffs", "a"} <= set(params):
+                raise ConfigError("fourier_closed_form needs params coeffs and a")
             coeffs = {int(k): complex(v) for k, v in params["coeffs"].items()}
             est = sigma2_circle_fourier(coeffs, float(params["a"]),
                                         params.get("k_support"))
@@ -146,9 +162,9 @@ def _run_task(cfg: dict, out_dir: str) -> int:
                 est = sigma2_var_sn(sums)
             else:
                 raise ConfigError(f"unknown sigma2 method {method!r}")
-        _write_csv(os.path.join(out_dir, "sigma2.csv"),
-                   ("method", "value", "se", "clamped"),
-                   [(est.method, est.value, est.se, est.clamped)])
+        write_csv(os.path.join(out_dir, "sigma2.csv"),
+                  ("method", "value", "se", "clamped"),
+                  [(est.method, est.value, est.se, est.clamped)])
         return 0
 
     if task == "conditions":
@@ -158,8 +174,8 @@ def _run_task(cfg: dict, out_dir: str) -> int:
             raise ConfigError(f"unknown condition check {check!r}")
         diag = fn(model, n_max=params.get("n_max", 256),
                   floor=params.get("floor", 0.0))
-        _write_csv(os.path.join(out_dir, f"condition_{check}.csv"),
-                   ("n", "term", "partial_sum"), diag.to_csv_rows()[1:])
+        write_csv(os.path.join(out_dir, f"condition_{check}.csv"),
+                  ("n", "term", "partial_sum"), diag.to_csv_rows()[1:])
         with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
             json.dump({"check": check, "verdict": diag.verdict,
                        "fit_kind": diag.fit_kind, "fit_param": diag.fit_param},
@@ -172,9 +188,9 @@ def _run_task(cfg: dict, out_dir: str) -> int:
                                     params.get("replicas", 10_000),
                                     params.get("n", 256),
                                     stream.named("inequality"))
-        _write_csv(os.path.join(out_dir, "domination.csv"),
-                   ("threshold", "bound", "p_hat", "ci_upper", "verdict"),
-                   [r.to_csv_row() for r in reports])
+        write_csv(os.path.join(out_dir, "domination.csv"),
+                  ("threshold", "bound", "p_hat", "ci_upper", "verdict"),
+                  [r.to_csv_row() for r in reports])
         return 0 if all(r.verdict == "dominated" for r in reports) else 1
 
     if task == "mdp-scan":
@@ -195,25 +211,25 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         K = params.get("K", 30)
         if action == "convergents":
             convs = convergents(cf_expand(a, K), spec=a)
-            _write_csv(os.path.join(out_dir, "convergents.csv"),
-                       ("k", "p", "q"), [(c.k, c.p, c.q) for c in convs])
+            write_csv(os.path.join(out_dir, "convergents.csv"),
+                      ("k", "p", "q"), [(c.k, c.p, c.q) for c in convs])
             return 0
         if action == "audit":
             hits = badly_approximable_audit(a, params.get("eps", 0.1), K)
-            _write_csv(os.path.join(out_dir, "audit.csv"),
-                       ("k",), [(k,) for k in hits])
+            write_csv(os.path.join(out_dir, "audit.csv"),
+                      ("k",), [(k,) for k in hits])
             return 0
         raise ConfigError(f"unknown diophantine action {action!r}")
 
     if task == "transfer-decay":
-        if model is None or model.kernel is None:
+        if model.kernel is None:
             raise ConfigError("transfer-decay needs a kernel model")
         kernel = model.kernel
         nodes = np.asarray(kernel.nodes, dtype=float)
         f = nodes - kernel.mu(nodes)
         report = sup_norm_decay(kernel, f, params.get("n_max", 64))
-        _write_csv(os.path.join(out_dir, "decay.csv"),
-                   ("n", "u_n"), report.to_csv_rows()[1:])
+        write_csv(os.path.join(out_dir, "decay.csv"),
+                  ("n", "u_n"), report.to_csv_rows()[1:])
         with open(os.path.join(out_dir, "decay_fit.json"), "w") as fh:
             json.dump({"kappa": report.kappa, "rho": report.rho,
                        "residual": report.residual, "diverged": report.diverged},
@@ -225,10 +241,10 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         m = params.get("m", 8)
         path = model.sample(n, stream.named("decompose"))
         dec = block_martingale_decompose(model, path, m)
-        _write_csv(os.path.join(out_dir, "decompose.csv"),
-                   ("block", "block_sum", "cond_mean", "increment"),
-                   [(i, float(b), float(c), float(d)) for i, (b, c, d) in
-                    enumerate(zip(dec.block_sums, dec.cond_means, dec.increments))])
+        write_csv(os.path.join(out_dir, "decompose.csv"),
+                  ("block", "block_sum", "cond_mean", "increment"),
+                  [(i, float(b), float(c), float(d)) for i, (b, c, d) in
+                   enumerate(zip(dec.block_sums, dec.cond_means, dec.increments))])
         with open(os.path.join(out_dir, "decompose_summary.json"), "w") as fh:
             json.dump({"m": m, "boundary": dec.boundary,
                        "cond_mean_check": dec.cond_mean_check,

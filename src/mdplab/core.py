@@ -7,6 +7,7 @@ and reruns are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -22,6 +23,8 @@ __all__ = [
     "partial_sums",
     "normalized_process",
     "max_abs_partial_sum",
+    "csv_cell",
+    "write_csv",
 ]
 
 
@@ -104,35 +107,47 @@ class SpeedSequence:
 class ProcessModel:
     """A sampler of a stationary bounded mean-zero sequence.
 
-    `sampler(n, rng)` returns either a value array of length n or a pair
-    (values, states) when the model tracks an underlying Markov state.
+    Sampler contract: `sampler(n, rng, reps=None)` draws from the generator
+    `rng` and returns either values or a pair (values, states) when the model
+    tracks an underlying Markov state. With reps=None the values are one path
+    of shape (n,); with an integer reps they are a block of shape (reps, n),
+    one independent stationary path per row, drawn in one pass from the same
+    generator. States follow the values' leading shape. `sample` and
+    `sample_block` are the checked entry points: they enforce the shape and
+    the bound |x| <= bound on every value.
     `kernel` (optional) carries exact conditional-expectation machinery;
     see mdplab.transfer for the kernel interface.
     """
 
     name: str
     bound: float
-    sampler: Callable[[int, np.random.Generator], Any]
+    sampler: Callable[..., Any]
     kernel: Optional[Any] = None
     meta: dict = field(default_factory=dict)
 
-    def sample(self, n: int, stream: RngStream) -> Path:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        out = self.sampler(n, stream.generator())
-        if isinstance(out, tuple):
-            values, states = out
-        else:
-            values, states = out, None
+    def _checked(self, out, shape: tuple):
+        values, states = out if isinstance(out, tuple) else (out, None)
         values = np.asarray(values, dtype=float)
-        if values.size != n:
-            raise RuntimeError(f"sampler returned {values.size} values, expected {n}")
-        amax = float(np.max(np.abs(values))) if n else 0.0
+        if values.shape != shape:
+            raise RuntimeError(f"sampler returned shape {values.shape}, expected {shape}")
+        amax = float(np.max(np.abs(values)))
         if amax > self.bound * (1 + 1e-12):
             raise RuntimeError(
                 f"model {self.name}: sampled value {amax} exceeds bound {self.bound}"
             )
+        return values, states
+
+    def sample(self, n: int, stream: RngStream) -> Path:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        values, states = self._checked(self.sampler(n, stream.generator()), (n,))
         return Path(values=values, origin_seed=stream.master_seed, states=states)
+
+    def sample_block(self, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
+        """(reps, n) array of values: reps independent paths from one generator."""
+        if n < 1 or reps < 1:
+            raise ValueError("n and reps must be >= 1")
+        return self._checked(self.sampler(n, rng, reps), (reps, n))[0]
 
     def sample_batch(self, n: int, replicas: int, stream: RngStream) -> np.ndarray:
         """(replicas, n) array of values; replica r uses substream r."""
@@ -161,3 +176,19 @@ def normalized_process(path: Path, t: float) -> float:
 def max_abs_partial_sum(path: Path) -> float:
     """max_{1<=k<=n} |S_k|."""
     return float(np.max(np.abs(partial_sums(path))))
+
+
+def csv_cell(v) -> str:
+    """One CSV field; floats, numpy ones included, as repr(float) so they round-trip."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def write_csv(path: str, header, rows):
+    """The one writer of data CSVs: a header line, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([csv_cell(v) for v in row])

@@ -19,6 +19,7 @@ from scipy import stats
 from .core import ProcessModel, RngStream
 
 __all__ = [
+    "BOUND_KINDS",
     "TailBoundReport",
     "azuma_bound",
     "puw_bound",
@@ -134,6 +135,9 @@ class TailBoundReport:
         return (self.threshold, self.bound, self.p_hat, self.ci_upper, self.verdict)
 
 
+BOUND_KINDS = ("azuma", "puw", "projection")
+
+
 def _bound_evaluator(model: ProcessModel, bound_spec: dict, n: int) -> Callable[[float], float]:
     spec = dict(bound_spec)
     kind = spec.pop("kind")
@@ -163,25 +167,19 @@ def verify_domination(model: ProcessModel, bound_spec: dict,
                       stream: RngStream, chunk: int = 1024):
     """Empirical P(max_k |S_k| >= t) vs analytic bound, per threshold.
 
-    Chunked sampling: each chunk of replicas shares one derived generator,
-    so the run is deterministic in (master seed, chunk size).
+    Chunked sampling: chunk ci is one (chunk, n) block drawn from the derived
+    generator stream.child(ci), so the run is deterministic in (master seed,
+    chunk size) and memory stays bounded by one block.
     """
     if replicas < 1000:
         raise ValueError("need at least 10^3 replicas for a meaningful verdict")
     evaluator = _bound_evaluator(model, bound_spec, n)
     thresholds = sorted(float(t) for t in thresholds)
     maxima = np.empty(replicas)
-    done = 0
-    ci = 0
-    while done < replicas:
-        rng = stream.child(ci).generator()
-        take = min(chunk, replicas - done)
-        for r in range(take):
-            out = model.sampler(n, rng)
-            values = out[0] if isinstance(out, tuple) else out
-            maxima[done + r] = np.max(np.abs(np.cumsum(values)))
-        done += take
-        ci += 1
+    for ci, start in enumerate(range(0, replicas, chunk)):
+        take = min(chunk, replicas - start)
+        block = model.sample_block(n, take, stream.child(ci).generator())
+        maxima[start:start + take] = np.max(np.abs(np.cumsum(block, axis=1)), axis=1)
     reports = []
     for t in thresholds:
         k = int(np.sum(maxima >= t))

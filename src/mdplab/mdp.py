@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
-from .core import ProcessModel, RngStream, SpeedSequence
+from .core import ProcessModel, RngStream, SpeedSequence, csv_cell
 from .processes import IIDSpec
 
 __all__ = [
@@ -160,14 +160,13 @@ def _cond_block_means(kernel, f_values: np.ndarray, start_states: np.ndarray,
 def _enum_circle_block_mean(kernel, x0: float, m: int) -> float:
     """Oracle by exhaustive enumeration of the 2^m coin sequences."""
     a = kernel.a
-    centered = kernel.centered_coeffs()
-    total = 0.0
-    for bits in range(1 << m):
-        x = x0
-        for s in range(m):
-            x = x + (a if (bits >> s) & 1 else -a)
-            total += float(kernel.eval_coeffs(centered, np.array([x]))[0])
-    return total / (1 << m)
+    coins = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # (2^m, m), bit s = step s
+    steps = np.where(coins == 1, a, -a)
+    # positions accumulate left to right from x0, one walk per row
+    x = np.cumsum(np.column_stack([np.full(1 << m, float(x0)), steps]), axis=1)[:, 1:]
+    values = kernel.eval_coeffs(kernel.centered_coeffs(), x)
+    # running sum in enumeration order, the order a scalar loop adds in
+    return float(np.cumsum(values.ravel())[-1]) / (1 << m)
 
 
 def block_martingale_decompose(model: ProcessModel, path, m: int,
@@ -332,7 +331,7 @@ def _solve_tilt(spec: IIDSpec, mean_target: float) -> float:
 
 def _draw_tilted(spec: IIDSpec, theta: float, size, rng: np.random.Generator):
     if theta == 0.0:
-        return spec.draw(int(np.prod(size)), rng).reshape(size)
+        return spec.draw(size, rng)
     if spec.law == "rademacher":
         p_plus = math.exp(theta) / (2.0 * math.cosh(theta))
         return np.where(rng.random(size) < p_plus, 1.0, -1.0)
@@ -441,18 +440,11 @@ def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
                 f"threshold; raise replicas to ~{math.ceil(20 / max(expected / replicas, 1e-300))} "
                 "or use the tilted estimator")
         hits = 0
-        done = 0
-        ci = 0
         sub = stream.named("naive", n)
-        while done < replicas:
-            take = min(1024, replicas - done)
-            rng = sub.child(ci).generator()
-            for _ in range(take):
-                out = model.sampler(n, rng)
-                values = out[0] if isinstance(out, tuple) else out
-                hits += float(np.sum(values)) >= t
-            done += take
-            ci += 1
+        for ci, start in enumerate(range(0, replicas, 1024)):
+            take = min(1024, replicas - start)
+            block = model.sample_block(n, take, sub.child(ci).generator())
+            hits += int(np.sum(np.sum(block, axis=1) >= t))
         if hits == 0:
             return MdpPointEstimate(n=n, a_n=a_n, x=x, method=method, threshold=t,
                                     estimate=None, flags=("no_exceedance",))
@@ -485,7 +477,7 @@ class DeviationScanReport:
     def to_csv(self) -> str:
         lines = [",".join(SCAN_COLUMNS)]
         for r in self.rows:
-            lines.append(",".join(_csv_cell(r[c]) for c in SCAN_COLUMNS))
+            lines.append(",".join(csv_cell(r[c]) for c in SCAN_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -504,12 +496,6 @@ class DeviationScanReport:
             if len(pts) >= 2 and pts[-1][1] >= pts[0][1]:
                 return False
         return True
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def mdp_scan(model: ProcessModel, speed: SpeedSequence, n_grid: Sequence[int],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -85,12 +86,13 @@ class IIDSpec:
             return self.c**2 / 3.0
         return self.p * self.a**2 + (1 - self.p) * self.b**2
 
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, size, rng: np.random.Generator) -> np.ndarray:
+        """Values of the given shape, filled in C order from one stream."""
         if self.law == "rademacher":
-            return rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
+            return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
         if self.law == "uniform":
-            return rng.uniform(-self.c, self.c, n)
-        return np.where(rng.random(n) < self.p, self.a, self.b)
+            return rng.uniform(-self.c, self.c, size)
+        return np.where(rng.random(size) < self.p, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,15 @@ class CounterexampleChainSpec:
 
 # ---------------------------------------------------------------------------
 # builders
+#
+# Each sampler has one body for both shapes of the ProcessModel contract.
+# Per-path scalars (initial states) are drawn as one vector before the path
+# arrays, so a block's rows equal the paths of sequential reps=None calls only
+# for models without such a scalar; a one-row block always equals reps=None.
+
+
+def _shape(reps: Optional[int], length: int) -> tuple:
+    return (length,) if reps is None else (reps, length)
 
 
 def make_iid(spec: IIDSpec) -> ProcessModel:
@@ -217,8 +228,8 @@ def make_iid(spec: IIDSpec) -> ProcessModel:
         states = np.linspace(-spec.c, spec.c, m)
         kernel = FiniteStateKernel(np.full((m, m), 1.0 / m), states=states)
 
-    def sampler(n, rng):
-        v = spec.draw(n, rng)
+    def sampler(n, rng, reps=None):
+        v = spec.draw(_shape(reps, n), rng)
         return v, v
 
     return ProcessModel(name=f"iid_{spec.law}", bound=spec.bound, sampler=sampler,
@@ -231,10 +242,10 @@ def make_alternating_plus_iid(iid: IIDSpec) -> ProcessModel:
                                states=np.array([-1.0, 1.0]),
                                noise_var=iid.variance)
 
-    def sampler(n, rng):
-        q0 = 1.0 if rng.random() < 0.5 else -1.0
-        signs = q0 * np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
-        y = iid.draw(n, rng)
+    def sampler(n, rng, reps=None):
+        q0 = np.where(rng.random(reps) < 0.5, 1.0, -1.0)
+        signs = q0[..., None] * np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
+        y = iid.draw(_shape(reps, n), rng)
         return signs + y, signs
 
     return ProcessModel(name="alternating_plus_iid", bound=1.0 + iid.bound,
@@ -262,9 +273,12 @@ def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
         center = float(np.mean(f(y)))
         bound = 2 * spec.f_bound
 
-    def sampler(n, rng):
-        eps = inn.draw(n + M, rng)
-        y = np.convolve(eps, coeffs, mode="valid")  # length n
+    def sampler(n, rng, reps=None):
+        eps = inn.draw(_shape(reps, n + M), rng)
+        # one convolution over the rows laid end to end; each row's n outputs
+        # are the windows inside it, the M straddling ones are dropped
+        y = np.convolve(eps.ravel(), coeffs, mode="valid")
+        y = np.concatenate([y, np.empty(M)]).reshape(eps.shape)[..., :n]
         return f(y) - center if spec.f is not None else y
 
     # C(A) increment bound Delta_i <= w(width * |c_i|)-style metadata
@@ -290,14 +304,15 @@ def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
         mean = kernel.mu(np.asarray(spec.observable(nodes), dtype=float))
         obs = lambda y: spec.observable(y) - mean
 
-    def sampler(n, rng):
-        eps = rng.random(n + burn)
-        y = np.empty(n + burn)
-        y[0] = rng.random()
-        for k in range(1, n + burn):
-            y[k] = rho * y[k - 1] + (1.0 - rho) * eps[k]
-        # n+1 states: y[burn-1] is the pre-observation state
-        return obs(y[burn:]), y[burn - 1:]
+    def sampler(n, rng, reps=None):
+        eps = rng.random(_shape(reps, n + burn))
+        y0 = rng.random(reps)
+        # the recurrence runs over time; each step updates every row at once
+        drive = (1.0 - rho) * np.moveaxis(eps, -1, 0)[1:]
+        y = np.array(list(accumulate(drive, lambda prev, d: rho * prev + d, initial=y0)))
+        y = np.moveaxis(y, 0, -1)
+        # n+1 states: y[..., burn-1] is the pre-observation state
+        return obs(y[..., burn:]), y[..., burn - 1:]
 
     bound = float(np.max(np.abs(obs(nodes))))
     return ProcessModel(name="iterated_function", bound=bound * (1 + 1e-9),
@@ -305,30 +320,34 @@ def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
                         meta={"rho": rho, "burn_in": burn, "observable": obs})
 
 
-def _digit_shift_orbit(n: int, beta: int, rng: np.random.Generator) -> np.ndarray:
-    """Orbit of x -> beta*x mod 1 under the invariant (Lebesgue) measure, exact.
+def _digit_shift_orbit(n: int, beta: int, rng: np.random.Generator,
+                       reps: Optional[int] = None) -> np.ndarray:
+    """Orbits of x -> beta*x mod 1 under the invariant (Lebesgue) measure, exact.
 
     x_k is read off a sliding window of iid base-beta digits, so the shift
     relation holds to the last retained digit instead of collapsing to 0.
     """
     depth = max(2, int(math.ceil(53 / math.log2(beta))))
-    digits = rng.integers(0, beta, n + depth).astype(float)
-    windows = sliding_window_view(digits, depth)[:n]
+    digits = rng.integers(0, beta, _shape(reps, n + depth)).astype(float)
+    windows = sliding_window_view(digits, depth, axis=-1)[..., :n, :]
     weights = beta ** (-np.arange(1, depth + 1, dtype=float))
     return windows @ weights
 
 
-def _gauss_orbit(n: int, rng: np.random.Generator) -> np.ndarray:
+def _gauss_orbit(n: int, rng: np.random.Generator,
+                 reps: Optional[int] = None) -> np.ndarray:
     if n > GAUSS_ORBIT_CAP:
         raise ValueError(f"Gauss-map orbit length capped at {GAUSS_ORBIT_CAP}")
+    u = np.asarray(rng.random(reps))
+    out = np.empty(u.shape + (n,))
+    # the extended-precision shift has no array form: one orbit per start
     with mpmath.workdps(GAUSS_DPS):
-        u = rng.random()
-        x = mpmath.mpf(2) ** u - 1  # inverse CDF of density 1/((1+x) ln 2)
-        out = np.empty(n)
-        for k in range(n):
-            out[k] = float(x)
-            inv = 1 / x
-            x = inv - mpmath.floor(inv)
+        for idx, ui in np.ndenumerate(u):
+            x = mpmath.mpf(2) ** float(ui) - 1  # inverse CDF of density 1/((1+x) ln 2)
+            for k in range(n):
+                out[idx + (k,)] = float(x)
+                inv = 1 / x
+                x = inv - mpmath.floor(inv)
     return out
 
 
@@ -342,8 +361,8 @@ def make_expanding_map(spec: ExpandingMapSpec) -> ProcessModel:
         else:
             mean = kernel.mu(np.asarray(f(kernel.nodes), dtype=float))
 
-        def sampler(n, rng):
-            x = _digit_shift_orbit(n, beta, rng)
+        def sampler(n, rng, reps=None):
+            x = _digit_shift_orbit(n, beta, rng, reps)
             return f(x) - mean, x
         name = f"expanding_beta{beta}"
     else:
@@ -353,8 +372,8 @@ def make_expanding_map(spec: ExpandingMapSpec) -> ProcessModel:
         else:
             mean = kernel.mu(np.asarray(f(kernel.nodes), dtype=float))
 
-        def sampler(n, rng):
-            x = _gauss_orbit(n, rng)
+        def sampler(n, rng, reps=None):
+            x = _gauss_orbit(n, rng, reps)
             return f(x) - mean, x
         name = "expanding_gauss"
 
@@ -370,12 +389,13 @@ def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
     centered = kernel.centered_coeffs()
     bound = float(sum(abs(c) for c in centered.values()))
 
-    def sampler(n, rng):
-        xi0 = rng.random()
-        steps = (rng.integers(0, 2, n) * 2 - 1) * spec.a
-        xi = np.mod(xi0 + np.cumsum(steps), 1.0)
+    def sampler(n, rng, reps=None):
+        xi0 = np.asarray(rng.random(reps))[..., None]
+        steps = (rng.integers(0, 2, _shape(reps, n)) * 2 - 1) * spec.a
+        xi = np.mod(xi0 + np.cumsum(steps, axis=-1), 1.0)
         # n+1 states: xi0 first, so conditioning on the pre-walk position works
-        return CircleFourierKernel.eval_coeffs(centered, xi), np.concatenate([[xi0], xi])
+        return (CircleFourierKernel.eval_coeffs(centered, xi),
+                np.concatenate([xi0, xi], axis=-1))
 
     return ProcessModel(name="circle_walk", bound=bound * (1 + 1e-9), sampler=sampler,
                         kernel=kernel, meta={"a": spec.a, "coeffs": dict(centered),
@@ -416,16 +436,17 @@ def make_counterexample_chain(spec: CounterexampleChainSpec) -> ProcessModel:
     if bal > 1e-12:
         raise RuntimeError(f"stationary age law fails balance equations ({bal:.2e})")
 
-    def sampler(n, rng):
-        y = np.empty(n + 1, dtype=np.int64)
-        y[0] = rng.choice(tau.size, p=pi)
+    def sampler(n, rng, reps=None):
+        y = np.empty(_shape(reps, n + 1), dtype=np.int64)
+        y[..., 0] = rng.choice(tau.size, p=pi, size=reps)
         for k in range(1, n + 1):
-            if y[k - 1] > 0:
-                y[k] = y[k - 1] - 1
-            else:
-                y[k] = rng.choice(tau.size, p=tau)  # tau - 1, folded renewal
-        xi = rng.integers(0, 2, n) * 2.0 - 1.0
-        states = y[1:]
+            y[..., k] = y[..., k - 1] - 1
+            renew = y[..., k - 1] == 0
+            if np.any(renew):
+                # tau - 1, folded renewal
+                y[..., k][renew] = rng.choice(tau.size, p=tau, size=int(np.sum(renew)))
+        xi = rng.integers(0, 2, _shape(reps, n)) * 2.0 - 1.0
+        states = y[..., 1:]
         return xi * (states != 0), states
 
     return ProcessModel(name="counterexample_chain", bound=1.0, sampler=sampler,

@@ -252,11 +252,22 @@ class CircleFourierKernel(Kernel):
 
     @staticmethod
     def eval_coeffs(coeffs: dict, x) -> np.ndarray:
+        """Re sum_k c_k e(kx), in real arithmetic: each +/-k pair gives
+        (Re c_k + Re c_-k) cos 2 pi k x - (Im c_k - Im c_-k) sin 2 pi k x."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=complex)
-        for k, c in coeffs.items():
-            out += c * np.exp(2j * np.pi * k * x)
-        return out.real
+        out = np.zeros_like(x)
+        c0 = coeffs.get(0)
+        if c0 is not None:
+            out += complex(c0).real
+        for k in sorted({abs(int(k)) for k in coeffs} - {0}):
+            cp, cm = complex(coeffs.get(k, 0.0)), complex(coeffs.get(-k, 0.0))
+            theta = 2.0 * np.pi * k * x
+            re, im = cp.real + cm.real, cp.imag - cm.imag
+            if re != 0.0:
+                out += re * np.cos(theta)
+            if im != 0.0:
+                out -= im * np.sin(theta)
+        return out
 
     def centered_coeffs(self) -> dict:
         return {k: c for k, c in self.coeffs.items() if k != 0}

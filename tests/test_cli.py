@@ -112,6 +112,38 @@ def test_unknown_task_is_config_error(tmp_path):
     assert main(["run", cfg]) == 2
 
 
+def test_unknown_model_kind_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "kind.json", {
+        "task": "simulate",
+        "model": {"kind": "nope"},
+        "params": {"n": 8, "replicas": 1},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 2
+    assert "unknown model kind" in capsys.readouterr().err
+
+
+def test_task_without_model_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "nomodel.json", {
+        "task": "simulate",
+        "params": {"n": 8, "replicas": 1},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 2
+    assert "needs a 'model' object" in capsys.readouterr().err
+
+
+def test_inequality_without_bound_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "nobound.json", {
+        "task": "inequality",
+        "model": {"kind": "iid", "law": "rademacher"},
+        "params": {"thresholds": [20.0], "replicas": 1000, "n": 16},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 2
+    assert "missing params" in capsys.readouterr().err
+
+
 def test_missing_config_file():
     assert main(["run", "/nonexistent/nope.json"]) == 2
 

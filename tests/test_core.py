@@ -82,3 +82,26 @@ def test_sample_batch_shape_and_determinism():
     b = model.sample_batch(32, 5, RngStream(9))
     assert a.shape == (5, 32)
     assert np.array_equal(a, b)
+
+
+def _coin_block(n, rng, reps=None):
+    shape = (n,) if reps is None else (reps, n)
+    return rng.integers(0, 2, shape) * 2.0 - 1.0
+
+
+def test_sample_block_shape_and_bound_check():
+    model = ProcessModel(name="coin", bound=1.0, sampler=_coin_block)
+    block = model.sample_block(16, 5, RngStream(4).generator())
+    assert block.shape == (5, 16)
+    assert set(np.unique(block)) <= {-1.0, 1.0}
+    too_big = ProcessModel(name="bad", bound=0.5, sampler=_coin_block)
+    with pytest.raises(RuntimeError, match="exceeds bound"):
+        too_big.sample_block(16, 5, RngStream(4).generator())
+
+
+def test_sample_block_rejects_wrong_shape():
+    model = ProcessModel(name="flat", bound=1.0,
+                         sampler=lambda n, rng, reps=None: np.zeros(n))
+    with pytest.raises(RuntimeError, match="shape"):
+        model.sample_block(8, 3, RngStream(0).generator())
+

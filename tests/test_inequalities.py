@@ -103,3 +103,23 @@ def test_verify_domination_replica_floor():
     with pytest.raises(ValueError):
         verify_domination(model, {"kind": "azuma"}, [10.0],
                           replicas=10, n=32, stream=STREAM.named("few"))
+
+
+def test_verify_domination_matches_per_replica_loop():
+    model = make_iid(IIDSpec())
+    n, replicas, chunk = 64, 2500, 1024
+    thresholds = [24.0, 32.0, 40.0]
+    stream = STREAM.named("dom-loop")
+    reports = verify_domination(model, {"kind": "azuma", "c": 1.0}, thresholds,
+                                replicas, n, stream, chunk=chunk)
+    # reference: one sampler call per replica, chunk ci from stream.child(ci)
+    maxima = []
+    for ci, start in enumerate(range(0, replicas, chunk)):
+        rng = stream.child(ci).generator()
+        for _ in range(min(chunk, replicas - start)):
+            values, _ = model.sampler(n, rng)
+            maxima.append(np.max(np.abs(np.cumsum(values))))
+    maxima = np.array(maxima)
+    for rep, t in zip(reports, thresholds):
+        assert rep.p_hat == np.sum(maxima >= t) / replicas
+

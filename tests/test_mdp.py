@@ -9,6 +9,7 @@ from scipy import stats
 from mdplab.core import RngStream, SpeedSequence
 from mdplab.mdp import (
     PiecewiseLinearPath,
+    _enum_circle_block_mean,
     block_martingale_decompose,
     empirical_mdp_point,
     endpoint_rate,
@@ -214,3 +215,37 @@ def test_decompose_martingale_increments_are_centered():
     means = np.mean(np.array(rows), axis=0)
     ses = np.std(np.array(rows), axis=0) / math.sqrt(200)
     assert np.all(np.abs(means) < 4.0 * ses + 1e-3)
+
+
+def test_enumeration_oracle_matches_scalar_loop():
+    kernel = make_circle_walk(CircleWalkSpec(
+        a=GOLDEN, coeffs={1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1})).kernel
+    centered = kernel.centered_coeffs()
+    for x0, m in ((0.1234, 1), (0.77, 5), (0.5, 8)):
+        # reference: walk every coin sequence step by step, summing as it goes
+        total = 0.0
+        for bits in range(1 << m):
+            x = x0
+            for s in range(m):
+                x = x + (kernel.a if (bits >> s) & 1 else -kernel.a)
+                total += float(kernel.eval_coeffs(centered, np.array([x]))[0])
+        assert _enum_circle_block_mean(kernel, x0, m) == total / (1 << m)
+
+
+def test_naive_estimator_matches_per_replica_loop():
+    model = make_iid(IIDSpec())
+    n, replicas, x = 64, 2500, 1.0
+    stream = STREAM.named("naive-loop")
+    point = empirical_mdp_point(model, n, 1.0, x, "naive", replicas=replicas,
+                                stream=stream, sigma2=1.0)
+    # reference: one sampler call per replica, 1024-replica chunk ci from child ci
+    t = x * math.sqrt(n)
+    sub = stream.named("naive", n)
+    hits = 0
+    for ci, start in enumerate(range(0, replicas, 1024)):
+        rng = sub.child(ci).generator()
+        for _ in range(min(1024, replicas - start)):
+            values, _ = model.sampler(n, rng)
+            hits += float(np.sum(values)) >= t
+    assert point.estimate == math.log(hits / replicas)
+

@@ -25,6 +25,23 @@ from mdplab.processes import (
 
 STREAM = RngStream(20260826)
 
+BUILDS = {
+    "iid": lambda: make_iid(IIDSpec()),
+    "iid_uniform": lambda: make_iid(IIDSpec(law="uniform", c=0.7)),
+    "iid_two_point": lambda: make_iid(IIDSpec(law="two_point", p=0.8, a=-0.25, b=1.0)),
+    "alternating": lambda: make_alternating_plus_iid(IIDSpec(law="uniform", c=0.5)),
+    "linear": lambda: make_linear_process(LinearProcessSpec(
+        coeff_kind="geometric", C=0.25, rho=0.5)),
+    "linear_f": lambda: make_linear_process(LinearProcessSpec(
+        coeff_kind="power", power=3.0, f=np.sin, f_bound=1.0, truncation_tol=1e-4)),
+    "iterated": lambda: make_iterated_function(IteratedFunctionSpec(rho=0.5)),
+    "doubling": lambda: make_expanding_map(ExpandingMapSpec(map="doubling", mean=0.0)),
+    "beta3": lambda: make_expanding_map(ExpandingMapSpec(map="beta", beta=3, mean=0.0)),
+    "gauss": lambda: make_expanding_map(ExpandingMapSpec(map="gauss")),
+    "circle": lambda: make_circle_walk(CircleWalkSpec(a=GOLDEN)),
+    "counterexample": lambda: make_counterexample_chain(CounterexampleChainSpec()),
+}
+
 
 def test_iid_laws_mean_zero_and_bounded():
     for spec in (IIDSpec(), IIDSpec(law="uniform", c=0.7),
@@ -144,3 +161,44 @@ def test_model_from_config_round_trip():
         m.sample(32, STREAM.named("cfg"))
     with pytest.raises(ValueError):
         model_from_config({"kind": "nope"})
+
+
+def _values(out):
+    return out[0] if isinstance(out, tuple) else out
+
+
+@pytest.mark.parametrize("key", sorted(BUILDS))
+def test_single_path_is_the_one_row_block(key):
+    # reps=None and a one-row block consume the generator in the same order
+    model = BUILDS[key]()
+    n = 40
+    path = model.sample(n, STREAM.named("one-row", n))
+    block = model.sample_block(n, 1, STREAM.named("one-row", n).generator())
+    assert block.shape == (1, n)
+    assert np.array_equal(block[0], path.values)
+
+
+@pytest.mark.parametrize("key", sorted(BUILDS))
+def test_block_rows_are_bounded_paths(key):
+    model = BUILDS[key]()
+    out = model.sampler(24, STREAM.named("rows").generator(), 5)
+    values = _values(out)
+    assert values.shape == (5, 24)
+    if isinstance(out, tuple):
+        assert np.asarray(out[1]).shape[0] == 5
+    assert np.max(np.abs(values)) <= model.bound
+    # rows are distinct paths, not copies of one
+    assert not np.array_equal(values[0], values[1])
+
+
+@pytest.mark.parametrize("key", ["iid", "iid_uniform", "iid_two_point", "linear",
+                                 "linear_f", "doubling", "beta3"])
+def test_block_equals_sequential_draws(key):
+    # models without a per-path scalar draw give the stacked sequential paths
+    model = BUILDS[key]()
+    n, reps = 64, 6
+    block = model.sample_block(n, reps, STREAM.named("seq").generator())
+    rng = STREAM.named("seq").generator()
+    rows = np.array([_values(model.sampler(n, rng)) for _ in range(reps)])
+    assert np.array_equal(block, rows)
+

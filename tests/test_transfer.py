@@ -185,11 +185,24 @@ def test_bv_contraction_check():
 def test_modulus_bound_check_linear_observable():
     k = IntegerBetaPFKernel(2, n_points=1024)
     f = k.nodes - 0.5
-    ok, margins = modulus_bound_check(k, f, lambda h: h, n_max=8)
-    assert ok
+    margins, violations = modulus_bound_check(k, f, lambda h: h, n_max=8)
+    assert len(margins) == 8
+    assert violations == []
 
 
 def test_pf_duality_gap_small():
     h = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + x, 4097)
     f = GridFunction.from_callable(lambda x: x * (1 - x), 4097)
     assert pf_duality_gap(2, h, f) < 1e-6
+
+
+def test_circle_eval_coeffs_matches_complex_sum():
+    x = np.linspace(-0.3, 1.7, 1001)
+    for coeffs in ({1: 0.5, -1: 0.5},
+                   {0: 0.25, 1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 3: -0.1j, -3: 0.1j},
+                   {2: 1.0 + 1.0j}):
+        ref = sum(c * np.exp(2j * np.pi * k * x) for k, c in coeffs.items()).real
+        got = CircleFourierKernel.eval_coeffs(coeffs, x)
+        tol = 8 * np.finfo(float).eps * sum(abs(c) for c in coeffs.values())
+        assert np.max(np.abs(got - ref)) <= tol
+
