@@ -247,7 +247,9 @@ def _run_task(cfg: dict, out_dir: str) -> int:
                    enumerate(zip(dec.block_sums, dec.cond_means, dec.increments))])
         with open(os.path.join(out_dir, "decompose_summary.json"), "w") as fh:
             json.dump({"m": m, "boundary": dec.boundary,
-                       "cond_mean_check": dec.cond_mean_check,
+                       "cond_mean_check": (dec.cond_mean_check if dec.cond_mean_checked
+                                           else None),
+                       "cond_mean_checked": dec.cond_mean_checked,
                        "reconstruction": dec.reconstruct()},
                       fh, indent=2, sort_keys=True)
         return 0

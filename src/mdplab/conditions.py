@@ -16,7 +16,8 @@ import numpy as np
 from scipy import stats
 
 from .core import ProcessModel
-from .transfer import Kernel, conditional_sum_norm_profile, conditional_square_norm
+from .transfer import (Kernel, conditional_square_norm, conditional_sum_norm_profile,
+                       dust_floor, orbit)
 
 __all__ = [
     "SeriesDiagnostic",
@@ -24,10 +25,6 @@ __all__ = [
     "check_mw",
     "check_bis",
     "check_s2inf",
-    "check_mix",
-    "check_projcond_bound",
-    "check_mixrphi",
-    "check_modulus_condition",
     "check_kac",
     "check_class_L",
     "class_L_integral",
@@ -141,11 +138,6 @@ def diagnose_series(terms: np.ndarray, floor: float = 0.0) -> SeriesDiagnostic:
                             fit_param=param, fit_r2=r2)
 
 
-def _dust_floor(f: np.ndarray) -> float:
-    """Rounding-dust resolution of kernel arithmetic on the observable's scale."""
-    return 1e-13 * max(1.0, float(np.max(np.abs(f))))
-
-
 def _kernel_and_observable(model: ProcessModel):
     kernel: Kernel = model.kernel
     if kernel is None:
@@ -179,13 +171,12 @@ def check_mw(model: ProcessModel, n_max: int = 512,
         norms = conditional_sum_norm_profile(kernel, f, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     terms = n ** (-1.5) * norms
-    diag = diagnose_series(terms, floor=max(floor, _dust_floor(f)))
+    diag = diagnose_series(terms, floor=max(floor, dust_floor(f)))
     r = int(np.floor(np.log2(n_max)))
     diag.extra["cond_sum_norms"] = norms
     diag.extra["dyadic_tail"] = np.array(
         [2.0 ** (-j / 2) * norms[2**j - 1] for j in range(r + 1)])
-    diag.extra["x1sq_cond_norm"] = float(np.max(np.abs(
-        kernel.apply(f * f) + kernel.noise_var)))
+    diag.extra["x1sq_cond_norm"] = float(kernel.sup(kernel.apply(f * f) + kernel.noise_var))
     return diag
 
 
@@ -196,14 +187,9 @@ def check_bis(model: ProcessModel, n_max: int = 512,
     if hasattr(kernel, "sup_norm_powers"):
         norms = kernel.sup_norm_powers(n_max)  # exact mode arithmetic
     else:
-        mu_f = kernel.mu(f)
-        v = f.copy()
-        norms = np.empty(n_max)
-        for k in range(n_max):
-            v = kernel.apply(v)
-            norms[k] = np.max(np.abs(v - mu_f))
+        norms = kernel.sup(orbit(kernel, f, n_max, center=True))
     n = np.arange(1, n_max + 1, dtype=float)
-    return diagnose_series(n ** (-0.5) * norms, floor=max(floor, _dust_floor(f)))
+    return diagnose_series(n ** (-0.5) * norms, floor=max(floor, dust_floor(f)))
 
 
 def check_s2inf(model: ProcessModel, sigma2_ref: float,
@@ -217,97 +203,6 @@ def check_s2inf(model: ProcessModel, sigma2_ref: float,
     else:
         passed = bool(devs[-1] <= devs[0] + 1e-15)
     return devs, passed
-
-
-def check_mix(model: ProcessModel, pairs: Sequence[tuple], n_list: Sequence[int]):
-    """||E(X_i X_j | F_{-n}) - E(X_i X_j)||_inf per (i,j) and n.
-
-    h_ij(x) = E_x(X_i X_j) = K^i(f * K^{j-i} f)(x); the deviation is
-    ||K^n h_ij - mu(h_ij)||_inf. Pass criterion per pair: decreasing trend.
-    """
-    kernel, f = _kernel_and_observable(model)
-    table = {}
-    ok = True
-    for (i, j) in pairs:
-        i, j = min(i, j), max(i, j)
-        g = f.copy()
-        for _ in range(j - i):
-            g = kernel.apply(g)
-        h = f * g
-        for _ in range(i):
-            h = kernel.apply(h)
-        mu_h = kernel.mu(h)
-        devs = []
-        v = h
-        step = 0
-        for n in sorted(n_list):
-            while step < n:
-                v = kernel.apply(v)
-                step += 1
-            devs.append(float(np.max(np.abs(v - mu_h))))
-        table[(i, j)] = np.array(devs)
-        if len(devs) >= 2 and devs[-1] > devs[0] + 1e-12:
-            ok = False
-    return table, ok
-
-
-def check_projcond_bound(delta: np.ndarray, phi: np.ndarray,
-                         n_max: Optional[int] = None) -> SeriesDiagnostic:
-    """Bounding series for the projection condition of non-adapted functionals:
-
-    sum_i ||P_0(Z_i)||_inf <= 2 sum_i Delta_i + 2 sum_i sum_k Delta_{i-k} phi(k).
-    Terms indexed by i >= 0 (Delta_i = 0 for i < 0 here, one-sided closed forms).
-    """
-    delta = np.asarray(delta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    m = delta.size if n_max is None else min(n_max, delta.size)
-    terms = np.empty(m)
-    for i in range(m):
-        inner = 0.0
-        for k in range(1, phi.size + 1):
-            if 0 <= i - k < delta.size:
-                inner += delta[i - k] * phi[k - 1]
-        terms[i] = 2.0 * delta[i] + 2.0 * inner
-    return diagnose_series(terms)
-
-
-def check_mixrphi(R: np.ndarray, phi: np.ndarray, n_max: Optional[int] = None):
-    """Series sum_l R_l sum_{k>=l} phi(k-l)/sqrt(k), plus the two sufficient conditions.
-
-    R and phi are nonnegative nonincreasing, indexed from 1.
-    """
-    R = np.asarray(R, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    for name, seq in (("R", R), ("phi", phi)):
-        if np.any(seq < -1e-15) or np.any(np.diff(seq) > 1e-12):
-            raise ValueError(f"{name} must be nonnegative nonincreasing")
-    m = R.size if n_max is None else min(n_max, R.size)
-    K = phi.size
-    terms = np.empty(m)
-    for l in range(1, m + 1):
-        ks = np.arange(l, l + K)
-        terms[l - 1] = R[l - 1] * float(np.sum(phi[: ks.size] / np.sqrt(ks)))
-    main = diagnose_series(terms)
-    l_idx = np.arange(1, R.size + 1, dtype=float)
-    k_idx = np.arange(1, phi.size + 1, dtype=float)
-    item1 = diagnose_series(l_idx ** (-0.5) * R)   # sum k^{-1/2} R_k  (+ sum phi)
-    item1_phi = diagnose_series(phi)
-    item2 = diagnose_series(R)                      # sum R_k (+ sum k^{-1/2} phi)
-    item2_phi = diagnose_series(k_idx ** (-0.5) * phi)
-    main.extra["item1"] = (item1.verdict, item1_phi.verdict)
-    main.extra["item2"] = (item2.verdict, item2_phi.verdict)
-    return main
-
-
-def check_modulus_condition(moduli: Sequence[Callable[[float], float]],
-                            coeff: Callable[[int], float], width: float,
-                            n_max: int = 2000) -> SeriesDiagnostic:
-    """Series sum_i sum_l w_l(2 * width * |c_i|) (the C(A) summability display)."""
-    terms = np.empty(n_max)
-    for i in range(n_max):
-        h = 2.0 * width * abs(coeff(i))
-        terms[i] = sum(w(h) if h > 0 else 0.0 for w in moduli)
-    return diagnose_series(terms)
 
 
 def check_kac(w: Callable[[float], float], tail: Callable[[int], float],

@@ -25,7 +25,6 @@ __all__ = [
     "puw_bound",
     "projection_bound",
     "blocking_bound_first_term",
-    "blocking_second_term_statistic",
     "clopper_pearson_upper",
     "verify_domination",
 ]
@@ -90,27 +89,6 @@ def blocking_bound_first_term(n: int, B: float, c: int, delta: float) -> float:
         raise ValueError(f"block constraint violated: cB/n = {c * B / n:.4g} "
                          f"> delta/2 = {delta / 2.0:.4g}")
     return 2.0 * math.exp(-(delta * delta) * n / (64.0 * B * B * c))
-
-
-def blocking_second_term_statistic(kernel, f_values: np.ndarray,
-                                   states: np.ndarray, c: int) -> float:
-    """max over blocks of |c^{-1} sum_block E(X_j | F_{block start})|.
-
-    Exact on kernel models: E(X_{start+s} | state) = (K^s f)(state). States
-    index the kernel nodes by nearest match (exact for finite-state chains
-    and node-aligned grids).
-    """
-    f = np.asarray(f_values, dtype=float)
-    mu_f = kernel.mu(f)
-    cum = np.zeros_like(f)
-    v = f.copy()
-    for _ in range(c):
-        v = kernel.apply(v)
-        cum = cum + (v - mu_f)
-    nodes = np.asarray(kernel.nodes, dtype=float)
-    starts = np.asarray(states, dtype=float)[:: c][: len(states) // c]
-    idx = np.abs(starts[:, None] - nodes[None, :]).argmin(axis=1)
-    return float(np.max(np.abs(cum[idx]))) / c
 
 
 def clopper_pearson_upper(k: int, n: int, confidence: float = 0.95) -> float:

@@ -20,6 +20,7 @@ from scipy.stats import norm
 
 from .core import ProcessModel, RngStream, SpeedSequence, csv_cell
 from .processes import IIDSpec
+from .transfer import orbit
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -134,7 +135,8 @@ class BlockDecomposition:
     cond_means: np.ndarray       # E(X_{i,m} | F_{(i-1)m})
     increments: np.ndarray       # D_{i,m} = block sum - conditional mean
     boundary: float              # the trailing n mod m fragment of S_n
-    cond_mean_check: float       # max discrepancy of the conditional means
+    cond_mean_check: float       # max discrepancy of the conditional means; nan if unchecked
+    cond_mean_checked: bool      # whether an exact oracle checked them
 
     def reconstruct(self) -> float:
         return float(np.sum(self.increments) + np.sum(self.cond_means) + self.boundary)
@@ -145,16 +147,8 @@ def _cond_block_means(kernel, f_values: np.ndarray, start_states: np.ndarray,
     """E(sum of next m observables | start state) per block start."""
     if hasattr(kernel, "cond_sum_eval"):
         return np.asarray(kernel.cond_sum_eval(m, start_states), dtype=float)
-    f = np.asarray(f_values, dtype=float)
-    mu_f = kernel.mu(f)
-    cum = np.zeros_like(f)
-    v = f.copy()
-    for _ in range(m):
-        v = kernel.apply(v)
-        cum = cum + (v - mu_f)
-    nodes = np.asarray(kernel.nodes, dtype=float)
-    idx = np.abs(np.asarray(start_states, dtype=float)[:, None] - nodes[None, :]).argmin(axis=1)
-    return cum[idx]
+    cum = np.sum(orbit(kernel, f_values, m, center=True), axis=0)
+    return kernel.eval(cum, np.asarray(start_states, dtype=float))
 
 
 def _enum_circle_block_mean(kernel, x0: float, m: int) -> float:
@@ -173,10 +167,11 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
                                check_blocks: int = 4) -> BlockDecomposition:
     """Split S_n into m-block martingale increments plus predictable means.
 
-    Requires an exact-kernel model with recorded states. The conditional
-    means are spot-verified: on circle-walk kernels against exhaustive
-    enumeration of the coin sequences (exact oracle), elsewhere against a
-    one-step tower recursion.
+    Requires an exact-kernel model with recorded states. On circle-walk
+    kernels with m <= 12 the conditional means of up to `check_blocks` blocks
+    are checked against exhaustive enumeration of the coin sequences (exact
+    oracle). No other kernel has such a check: there `cond_mean_check` is nan
+    and `cond_mean_checked` is False.
     """
     if model.kernel is None:
         raise ValueError("block decomposition needs a kernel model")
@@ -220,14 +215,17 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
     increments = block_sums - cond
     boundary = float(np.sum(values[n_blocks * m :]))
 
-    check = 0.0
+    check = math.nan
     if hasattr(kernel, "cond_sum_eval") and m <= 12:
         first = 0 if st.size == n + 1 else 1
-        for i in range(first, min(first + check_blocks, n_blocks)):
-            check = max(check, abs(_enum_circle_block_mean(kernel, starts[i], m) - cond[i]))
+        checked = range(first, min(first + check_blocks, n_blocks))
+        if len(checked):
+            check = max(abs(_enum_circle_block_mean(kernel, starts[i], m) - cond[i])
+                        for i in checked)
     return BlockDecomposition(m=m, block_sums=block_sums, cond_means=cond,
                               increments=increments, boundary=boundary,
-                              cond_mean_check=check)
+                              cond_mean_check=check,
+                              cond_mean_checked=not math.isnan(check))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +391,6 @@ class MdpPointEstimate:
     estimate: Optional[float]  # a_n * log P, None when no exceedance observed
     se: float = 0.0
     flags: tuple = ()
-
-    @property
-    def target(self):
-        return None
 
     def gap(self, sigma2: float) -> Optional[float]:
         if self.estimate is None:

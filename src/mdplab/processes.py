@@ -16,13 +16,7 @@ import mpmath
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .transfer import (
-    CircleFourierKernel,
-    FiniteStateKernel,
-    GaussPFKernel,
-    IntegerBetaPFKernel,
-    IteratedFunctionKernel,
-)
+from .transfer import ChebyshevKernel, CircleFourierKernel, FiniteStateKernel
 from .core import ProcessModel
 
 __all__ = [
@@ -295,14 +289,12 @@ def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
 def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
     rho = spec.rho
     burn = int(math.ceil(math.log(spec.burn_in_tol) / math.log(rho)))
-    kernel = IteratedFunctionKernel(rho)
+    kernel = ChebyshevKernel.iterated(rho)
     nodes = kernel.nodes
-    if spec.observable is None:
-        mean = kernel.mu(nodes)  # stationary mean of the identity
-        obs = lambda y: y - mean
-    else:
-        mean = kernel.mu(np.asarray(spec.observable(nodes), dtype=float))
-        obs = lambda y: spec.observable(y) - mean
+    f = spec.observable if spec.observable is not None else (lambda y: y)
+    fx = kernel.resolved_values(f)  # refuses non-smooth f
+    mean = kernel.mu(np.asarray(f(nodes), dtype=float))  # stationary mean of f
+    obs = lambda y: f(y) - mean
 
     def sampler(n, rng, reps=None):
         eps = rng.random(_shape(reps, n + burn))
@@ -314,7 +306,7 @@ def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
         # n+1 states: y[..., burn-1] is the pre-observation state
         return obs(y[..., burn:]), y[..., burn - 1:]
 
-    bound = float(np.max(np.abs(obs(nodes))))
+    bound = float(np.max(np.abs(fx - mean)))
     return ProcessModel(name="iterated_function", bound=bound * (1 + 1e-9),
                         sampler=sampler, kernel=kernel,
                         meta={"rho": rho, "burn_in": burn, "observable": obs})
@@ -355,30 +347,24 @@ def make_expanding_map(spec: ExpandingMapSpec) -> ProcessModel:
     f = spec.observable if spec.observable is not None else (lambda x: np.cos(2 * np.pi * x))
     if spec.map in ("doubling", "beta"):
         beta = 2 if spec.map == "doubling" else int(spec.beta)
-        kernel = IntegerBetaPFKernel(beta)
-        if spec.mean is not None:
-            mean = spec.mean
-        else:
-            mean = kernel.mu(np.asarray(f(kernel.nodes), dtype=float))
-
-        def sampler(n, rng, reps=None):
-            x = _digit_shift_orbit(n, beta, rng, reps)
-            return f(x) - mean, x
+        kernel = ChebyshevKernel.integer_beta(beta)
+        draw_orbit = lambda n, rng, reps: _digit_shift_orbit(n, beta, rng, reps)
         name = f"expanding_beta{beta}"
     else:
-        kernel = GaussPFKernel()
-        if spec.mean is not None:
-            mean = spec.mean
-        else:
-            mean = kernel.mu(np.asarray(f(kernel.nodes), dtype=float))
-
-        def sampler(n, rng, reps=None):
-            x = _gauss_orbit(n, rng, reps)
-            return f(x) - mean, x
+        kernel = ChebyshevKernel.gauss()
+        draw_orbit = _gauss_orbit
         name = "expanding_gauss"
+    fx = kernel.resolved_values(f)  # refuses non-smooth f
+    if spec.mean is not None:
+        mean = spec.mean
+    else:
+        mean = kernel.mu(np.asarray(f(kernel.nodes), dtype=float))
 
-    xs = np.linspace(0, 1, 4097)
-    bound = float(np.max(np.abs(f(xs) - mean)))
+    def sampler(n, rng, reps=None):
+        x = draw_orbit(n, rng, reps)
+        return f(x) - mean, x
+
+    bound = float(np.max(np.abs(fx - mean)))
     return ProcessModel(name=name, bound=bound * (1 + 1e-9), sampler=sampler,
                         kernel=kernel, meta={"mean": mean, "observable": f})
 

@@ -1,24 +1,42 @@
-"""Grid numerics for Markov kernels and Perron-Frobenius operators.
+"""Markov kernels and Perron-Frobenius operators on [0,1], spectral and grid.
 
-Functions on [0,1] are carried on a uniform grid (N+1 nodes, piecewise-linear
-interpolation, trapezoid quadrature). Kernels expose `apply` (one operator
-step on node values), `mu` (integral against the invariant measure) and
-`nodes`; that is enough for the decay studies and the conditional-expectation
-norms feeding the condition checkers.
+Kernels carry functions by their values at `nodes` and expose `apply` (one
+operator step), `mu` (integral against the invariant measure), `eval`
+(the carried function at arbitrary points) and `sup` (its sup norm).
+
+The model builders use `ChebyshevKernel`: values at second-kind Chebyshev
+points, with `apply` one matrix-vector product. For the integer-beta maps,
+the Gauss map and the iterated chain the operator maps analytic functions to
+analytic functions, so collocation converges exponentially in the number of
+points (Bandtlow & Slipantschuk 2020; Wormell, Numer. Math. 2019). Sup norms
+are read on a fixed uniform grid through one shared evaluation matrix.
+
+The uniform-grid classes (piecewise-linear interpolation, trapezoid
+quadrature) are the independent reference discretisation. Non-smooth
+observables, such as the hat-function witnesses and the BV test functions,
+converge only at O(1/N) on Chebyshev points and belong on the grid classes;
+the model builders refuse them.
 
 The circle-walk kernel additionally keeps an exact Fourier representation, so
 conditional expectations at arbitrary points are exact to rounding; this is
 what the block-martingale decomposition relies on.
+
+Every power K^k f goes through `orbit`, and every sup norm through
+`Kernel.sup`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_GRID = 4096  # resolves every acceptance target in milliseconds
+CHEB_POINTS = 48  # Chebyshev nodes of the spectral kernels
+GAUSS_BRANCHES = 2048  # Gauss-map branches summed one by one; the rest in closed form
+SUP_GRID = 4096  # spectral sup norms are read on the uniform grid j/SUP_GRID
 
 __all__ = [
     "GridFunction",
@@ -29,6 +47,9 @@ __all__ = [
     "CircleFourierKernel",
     "IteratedFunctionKernel",
     "FiniteStateKernel",
+    "ChebyshevKernel",
+    "orbit",
+    "dust_floor",
     "apply_pf_integer_beta",
     "apply_kernel_circle",
     "total_variation_norm",
@@ -114,6 +135,17 @@ class Kernel:
     def mu(self, values: np.ndarray) -> float:
         raise NotImplementedError
 
+    def eval(self, values: np.ndarray, y) -> np.ndarray:
+        """The function carried by `values`, evaluated at the points y."""
+        raise NotImplementedError
+
+    def sup(self, values: np.ndarray):
+        """Sup norm of the carried function; the node axis is the last axis.
+
+        Grid and finite-state kernels take the max over their nodes.
+        """
+        return np.max(np.abs(values), axis=-1)
+
     # additive independent observation noise (variance), used by the
     # alternating model where X = f(state) + iid noise
     noise_var: float = 0.0
@@ -128,6 +160,9 @@ class _UniformGridKernel(Kernel):
 
     def mu(self, values: np.ndarray) -> float:
         return float(np.trapezoid(values, dx=1.0 / self.n_points))
+
+    def eval(self, values: np.ndarray, y) -> np.ndarray:
+        return np.interp(np.asarray(y, dtype=float), self.nodes, values)
 
 
 class IntegerBetaPFKernel(_UniformGridKernel):
@@ -251,9 +286,13 @@ class CircleFourierKernel(Kernel):
         return {k: v * self.multiplier(k) ** s for k, v in c.items()}
 
     @staticmethod
-    def eval_coeffs(coeffs: dict, x) -> np.ndarray:
+    def eval_coeffs(coeffs: dict, x, basis: Optional[dict] = None) -> np.ndarray:
         """Re sum_k c_k e(kx), in real arithmetic: each +/-k pair gives
-        (Re c_k + Re c_-k) cos 2 pi k x - (Im c_k - Im c_-k) sin 2 pi k x."""
+        (Re c_k + Re c_-k) cos 2 pi k x - (Im c_k - Im c_-k) sin 2 pi k x.
+
+        `basis` optionally maps k to (cos 2 pi k x, sin 2 pi k x) on this x,
+        as `_mode_basis` computes them; the result is the same to the bit.
+        """
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         c0 = coeffs.get(0)
@@ -261,18 +300,22 @@ class CircleFourierKernel(Kernel):
             out += complex(c0).real
         for k in sorted({abs(int(k)) for k in coeffs} - {0}):
             cp, cm = complex(coeffs.get(k, 0.0)), complex(coeffs.get(-k, 0.0))
-            theta = 2.0 * np.pi * k * x
             re, im = cp.real + cm.real, cp.imag - cm.imag
             if re != 0.0:
-                out += re * np.cos(theta)
+                out += re * (np.cos(2.0 * np.pi * k * x) if basis is None else basis[k][0])
             if im != 0.0:
-                out -= im * np.sin(theta)
+                out -= im * (np.sin(2.0 * np.pi * k * x) if basis is None else basis[k][1])
         return out
+
+    def _mode_basis(self, x: np.ndarray) -> dict:
+        """cos/sin(2 pi k x) for every mode k > 0 of the observable, computed once."""
+        return {k: (np.cos(2.0 * np.pi * k * x), np.sin(2.0 * np.pi * k * x))
+                for k in {abs(k) for k in self.coeffs} - {0}}
 
     def centered_coeffs(self) -> dict:
         return {k: c for k, c in self.coeffs.items() if k != 0}
 
-    def cond_sum_eval(self, n: int, x) -> np.ndarray:
+    def cond_sum_eval(self, n: int, x, basis: Optional[dict] = None) -> np.ndarray:
         """Exact sum_{s=1}^n K^s f_c evaluated at x (f_c the centered observable)."""
         acc = {}
         for k, c in self.centered_coeffs().items():
@@ -281,24 +324,26 @@ class CircleFourierKernel(Kernel):
                 acc[k] = c * n
             else:
                 acc[k] = c * m * (1.0 - m**n) / (1.0 - m)
-        return self.eval_coeffs(acc, x)
+        return self.eval_coeffs(acc, x, basis)
 
     def sup_norm_powers(self, n_max: int, sup_grid: int = 8192) -> np.ndarray:
         """||K^n f_c||_inf for n = 1..n_max, exact mode arithmetic."""
         x = np.linspace(0.0, 1.0, sup_grid, endpoint=False)
+        basis = self._mode_basis(x)
         centered = self.centered_coeffs()
         out = np.empty(n_max)
         for n in range(1, n_max + 1):
             out[n - 1] = np.max(np.abs(self.eval_coeffs(
-                self.power_coeffs(n, centered), x)))
+                self.power_coeffs(n, centered), x, basis)))
         return out
 
     def cond_sum_sup_norms(self, n_max: int, sup_grid: int = 8192) -> np.ndarray:
         """||sum_{s<=n} K^s f_c||_inf for n = 1..n_max, exact mode arithmetic."""
         x = np.linspace(0.0, 1.0, sup_grid, endpoint=False)
+        basis = self._mode_basis(x)
         out = np.empty(n_max)
         for n in range(1, n_max + 1):
-            out[n - 1] = np.max(np.abs(self.cond_sum_eval(n, x)))
+            out[n - 1] = np.max(np.abs(self.cond_sum_eval(n, x, basis)))
         return out
 
     # --- generic grid interface ---
@@ -337,6 +382,152 @@ class FiniteStateKernel(Kernel):
     def mu(self, values: np.ndarray) -> float:
         return float(self.pi @ np.asarray(values, dtype=float))
 
+    def eval(self, values: np.ndarray, y) -> np.ndarray:
+        """Value at the state nearest to each y (recorded states are node values)."""
+        order = np.argsort(self.nodes, kind="stable")
+        s = self.nodes[order]
+        y = np.asarray(y, dtype=float)
+        hi = np.clip(np.searchsorted(s, y), 0, s.size - 1)
+        lo = np.clip(hi - 1, 0, None)
+        pick = np.where(np.abs(y - s[lo]) <= np.abs(s[hi] - y), lo, hi)
+        return np.asarray(values, dtype=float)[order[pick]]
+
+
+def chebyshev_nodes(n: int) -> np.ndarray:
+    """Second-kind Chebyshev points on [0,1], increasing, both ends included."""
+    return np.sin(0.5 * np.pi * np.arange(n) / (n - 1)) ** 2
+
+
+def _lagrange_rows(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(len(y), len(nodes)) values of the Lagrange basis at y, barycentric form."""
+    y = np.asarray(y, dtype=float).ravel()
+    rows = y[:, None] - nodes[None, :]
+    hit = rows == 0.0
+    rows[hit] = 1.0
+    weights = (-1.0) ** np.arange(nodes.size)
+    weights[[0, -1]] *= 0.5
+    np.divide(weights, rows, out=rows)  # in place: one (len(y), n) array
+    rows /= rows.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    rows[on_node] = hit[on_node]
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _sup_matrix(n: int) -> np.ndarray:
+    """Evaluation matrix from n Chebyshev values to the SUP_GRID + 1 uniform
+    points; one per n, shared by every kernel."""
+    m = _lagrange_rows(chebyshev_nodes(n), np.linspace(0.0, 1.0, SUP_GRID + 1))
+    m.setflags(write=False)
+    return m
+
+
+class ChebyshevKernel(Kernel):
+    """Collocation matrix of a Markov operator on N Chebyshev points of [0,1].
+
+    Row i holds the weights of (Kf)(x_i) on the node values of f, with f
+    interpolated by its degree N-1 polynomial. `mu` is the matrix's left
+    Perron vector, so mu(K f) = mu(f) to rounding; `eval` is barycentric
+    interpolation and `sup` reads the max on the uniform grid j/SUP_GRID as
+    well as on the nodes. Build with `integer_beta`, `gauss` or `iterated`.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.nodes = chebyshev_nodes(self.matrix.shape[0])
+        self.weights = stationary_distribution(self.matrix)
+
+    @classmethod
+    def integer_beta(cls, beta: int) -> "ChebyshevKernel":
+        """(Kf)(x) = (1/beta) sum_i f((x+i)/beta); exact on polynomials of degree < N."""
+        if int(beta) != beta or beta < 2:
+            raise ValueError("only integer beta >= 2 is supported")
+        beta, n = int(beta), CHEB_POINTS
+        x = chebyshev_nodes(n)
+        pts = (x[:, None] + np.arange(beta)[None, :]) / beta
+        rows = _lagrange_rows(x, pts).reshape(n, beta, n)
+        return cls(rows.sum(axis=1) / beta)
+
+    @classmethod
+    def gauss(cls) -> "ChebyshevKernel":
+        """Gauss-map operator wrt its invariant measure; branches k <= K exact.
+
+        Branch k has weight (1+x)/((k+x)(k+x+1)) at the point y = 1/(k+x);
+        the weights telescope, so the branches beyond K = GAUSS_BRANCHES carry
+        the mass (1+x)/(K+1+x) exactly. That tail is the Euler-Maclaurin
+        midpoint integral over t > K + 1/2, which in y = 1/(t+x) reads
+        (1+x) int_0^{1/(K+1/2+x)} f(y)/(1+y) dy (Gauss-Legendre), rescaled to
+        the exact tail mass. Branches are summed `chunk` at a time, which
+        bounds the build's memory.
+        """
+        n, top_k, chunk = CHEB_POINTS, GAUSS_BRANCHES, 128
+        x = chebyshev_nodes(n)
+        matrix = np.zeros((n, n))
+        for k0 in range(1, top_k + 1, chunk):
+            ks = np.arange(k0, min(k0 + chunk, top_k + 1), dtype=float)[:, None]
+            w = (1.0 + x) / ((ks + x) * (ks + x + 1.0))  # (branch, node)
+            rows = _lagrange_rows(x, 1.0 / (ks + x)).reshape(ks.size, n, n)
+            matrix += np.einsum("bi,bij->ij", w, rows)
+        g, gw = np.polynomial.legendre.leggauss(n)
+        top = 1.0 / (top_k + 0.5 + x)  # (node,)
+        y = 0.5 * top[:, None] * (g + 1.0)  # (node, quad)
+        qw = 0.5 * top[:, None] * gw * (1.0 + x)[:, None] / (1.0 + y)
+        tail = np.einsum("iq,iqj->ij", qw, _lagrange_rows(x, y).reshape(n, n, n))
+        tail *= ((1.0 + x) / (top_k + 1.0 + x) / tail.sum(axis=1))[:, None]
+        return cls(matrix + tail)
+
+    @classmethod
+    def iterated(cls, rho: float) -> "ChebyshevKernel":
+        """(Kf)(y) = int_0^1 f(rho y + (1-rho) u) du by N-point Gauss-Legendre,
+        exact on polynomials of degree < N."""
+        if not 0.0 < rho < 1.0:
+            raise ValueError("rho must be in (0,1)")
+        n = CHEB_POINTS
+        x = chebyshev_nodes(n)
+        g, gw = np.polynomial.legendre.leggauss(n)
+        pts = rho * x[:, None] + (1.0 - rho) * 0.5 * (g + 1.0)[None, :]
+        rows = _lagrange_rows(x, pts).reshape(n, n, n)
+        return cls(np.einsum("q,iqj->ij", 0.5 * gw, rows))
+
+    def resolved_values(self, f: Callable) -> np.ndarray:
+        """f on the uniform grid j/SUP_GRID, after checking that the
+        interpolant of f's node values reproduces it there to 1e-10 max|f|.
+
+        A non-smooth observable (an indicator, a hat) converges only at
+        O(1/N) on Chebyshev points: its mean and every exact check would be
+        off by far more than rounding, so it is refused with a ValueError.
+        """
+        fx = np.asarray(f(np.linspace(0.0, 1.0, SUP_GRID + 1)), dtype=float)
+        on_grid = _sup_matrix(self.nodes.size) @ np.asarray(f(self.nodes), dtype=float)
+        err = float(np.max(np.abs(on_grid - fx)))
+        if err > 1e-10 * float(np.max(np.abs(fx))):
+            raise ValueError(f"observable is not resolved by the {self.nodes.size}-point "
+                             f"spectral kernel (interpolation error {err:.1e}); non-smooth "
+                             "observables need the uniform-grid kernels")
+        return fx
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.matrix @ np.asarray(values, dtype=float)
+
+    def mu(self, values: np.ndarray) -> float:
+        return float(self.weights @ np.asarray(values, dtype=float))
+
+    def eval(self, values: np.ndarray, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        return (_lagrange_rows(self.nodes, y) @ np.asarray(values, dtype=float)).reshape(y.shape)
+
+    def sup(self, values: np.ndarray):
+        v = np.asarray(values, dtype=float)
+        rows = np.atleast_2d(v)
+        grid = _sup_matrix(self.nodes.size)
+        out = np.abs(rows).max(axis=-1)
+        # 64 rows at a time: the grid values of a whole orbit would take
+        # rows x 4097 floats (134 MB for a 4096-step orbit)
+        for s in range(0, rows.shape[0], 64):
+            on_grid = rows[s:s + 64] @ grid.T
+            out[s:s + 64] = np.maximum(out[s:s + 64], np.abs(on_grid).max(axis=-1))
+        return out[0] if v.ndim == 1 else out
+
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     n = P.shape[0]
@@ -362,10 +553,34 @@ class DecayReport:
         return rows
 
 
-def _geometric_fit(u: np.ndarray):
-    """Least squares log-linear fit u_n ~ kappa * rho^n on the positive tail."""
+def orbit(kernel: Kernel, f: np.ndarray, n_max: int, center: bool = False) -> np.ndarray:
+    """Rows K^1 f, ..., K^{n_max} f as one (n_max, len(f)) array.
+
+    Every power K^k f of a kernel is taken here; callers reduce the rows
+    with `Kernel.sup`, a cumulative sum or a sum. With `center` the rows are
+    K^k f - mu(f), subtracted in place. The array holds n_max * len(f)
+    floats: 134 MB for n_max = 4096 on a 4097-node grid kernel.
+    """
+    v = np.asarray(f, dtype=float)
+    out = np.empty((n_max,) + v.shape)
+    for k in range(n_max):
+        v = kernel.apply(v)
+        out[k] = v
+    if center:
+        out -= kernel.mu(f)
+    return out
+
+
+def dust_floor(f_values: np.ndarray) -> float:
+    """Rounding-dust level of kernel arithmetic on f: norms of K^k f at or
+    below 1e-13 max|f| carry no signal."""
+    return 1e-13 * float(np.max(np.abs(f_values)))
+
+
+def _geometric_fit(u: np.ndarray, floor: float = 0.0):
+    """Least squares log-linear fit u_n ~ kappa * rho^n on the tail above `floor`."""
     n = np.arange(1, u.size + 1)
-    mask = u > 1e-300
+    mask = u > max(floor, 1e-300)
     if mask.sum() < 2:
         return None, None, None
     tail = mask & (n >= max(1, u.size // 3))
@@ -378,19 +593,16 @@ def _geometric_fit(u: np.ndarray):
 
 
 def sup_norm_decay(kernel: Kernel, f_values: np.ndarray, n_max: int) -> DecayReport:
-    """u_k = max over nodes of |K^k f - mu(f)| for k <= n_max, with a geometric fit.
+    """u_k = ||K^k f - mu(f)||_inf (`Kernel.sup`) for k <= n_max, with a geometric fit.
 
-    Refuses the fit if u_k increases for 5 consecutive k beyond k = 3.
+    Refuses the fit if u_k increases for 5 consecutive k beyond k = 3. The
+    fit ignores u_k at or below 1e-13 max|f|, where only rounding dust is left.
     """
     mu_f = kernel.mu(f_values)
     # invariance sanity: one kernel step must preserve the integral
     if abs(kernel.mu(kernel.apply(f_values)) - mu_f) > 1e-6 * (1.0 + abs(mu_f)):
         raise ValueError("kernel does not preserve its declared invariant measure")
-    u = np.empty(n_max)
-    v = np.asarray(f_values, dtype=float)
-    for k in range(n_max):
-        v = kernel.apply(v)
-        u[k] = np.max(np.abs(v - mu_f))
+    u = kernel.sup(orbit(kernel, f_values, n_max, center=True))
     increasing = 0
     diverged = False
     for k in range(3, n_max - 1):
@@ -400,7 +612,7 @@ def sup_norm_decay(kernel: Kernel, f_values: np.ndarray, n_max: int) -> DecayRep
             break
     if diverged:
         return DecayReport(u=u, kappa=None, rho=None, residual=None, diverged=True)
-    kappa, rho, resid = _geometric_fit(u)
+    kappa, rho, resid = _geometric_fit(u, dust_floor(f_values))
     return DecayReport(u=u, kappa=kappa, rho=rho, residual=resid)
 
 
@@ -418,9 +630,7 @@ def check_bv_contraction(kernel: Kernel, test_functions: Sequence[GridFunction],
         df0 = total_variation_norm(f)
         if df0 == 0.0:
             continue
-        v = f.values
-        for n in range(1, n_max + 1):
-            v = kernel.apply(v)
+        for n, v in enumerate(orbit(kernel, f.values, n_max), start=1):
             ratios.append((n, total_variation_norm(GridFunction(v)) / df0))
     ns = np.array([r[0] for r in ratios], dtype=float)
     vals = np.array([r[1] for r in ratios], dtype=float)
@@ -452,11 +662,7 @@ def witness_un(kernel: Kernel, n_max: int, n_witness: int = 16) -> np.ndarray:
     """u_n approximated from below over the witness family."""
     u = np.zeros(n_max)
     for w in lipschitz_witnesses(np.asarray(kernel.nodes, dtype=float), n_witness):
-        mu_w = kernel.mu(w)
-        v = w
-        for k in range(n_max):
-            v = kernel.apply(v)
-            u[k] = max(u[k], np.max(np.abs(v - mu_w)))
+        u = np.maximum(u, kernel.sup(orbit(kernel, w, n_max, center=True)))
     return u
 
 
@@ -482,42 +688,21 @@ def modulus_bound_check(kernel: Kernel, f_values: np.ndarray,
     """
     u = witness_un(kernel, n_max)
     _spot_check_concavity(c, min(1e-6, u.min() / 2 + 1e-12), max(u.max(), 1e-6))
-    mu_f = kernel.mu(f_values)
-    margins = []
-    violations = []
-    v = np.asarray(f_values, dtype=float)
-    for n in range(1, n_max + 1):
-        v = kernel.apply(v)
-        lhs = float(np.max(np.abs(v - mu_f)))
-        m = float(c(u[n - 1])) + grid_tol - lhs
-        margins.append(m)
-        if m < 0:
-            violations.append(n)
+    lhs = kernel.sup(orbit(kernel, f_values, n_max, center=True))
+    margins = [float(c(u[n - 1])) + grid_tol - float(lhs[n - 1]) for n in range(1, n_max + 1)]
+    violations = [n for n, m in enumerate(margins, start=1) if m < 0]
     return margins, violations
 
 
 def conditional_sum_norm(kernel: Kernel, f_values: np.ndarray, n: int) -> float:
     """Exact ||E(S_n | F_0)||_inf for a kernel model: max_x |sum_{k<=n} (K^k f - mu f)(x)|."""
-    mu_f = kernel.mu(f_values)
-    v = np.asarray(f_values, dtype=float)
-    acc = np.zeros_like(v)
-    for _ in range(n):
-        v = kernel.apply(v)
-        acc = acc + (v - mu_f)
-    return float(np.max(np.abs(acc)))
+    return float(conditional_sum_norm_profile(kernel, f_values, n)[-1])
 
 
 def conditional_sum_norm_profile(kernel: Kernel, f_values: np.ndarray, n_max: int) -> np.ndarray:
     """conditional_sum_norm for every n = 1..n_max in one sweep."""
-    mu_f = kernel.mu(f_values)
-    v = np.asarray(f_values, dtype=float)
-    acc = np.zeros_like(v)
-    out = np.empty(n_max)
-    for k in range(n_max):
-        v = kernel.apply(v)
-        acc = acc + (v - mu_f)
-        out[k] = np.max(np.abs(acc))
-    return out
+    rows = orbit(kernel, f_values, n_max, center=True)
+    return kernel.sup(np.cumsum(rows, axis=0, out=rows))
 
 
 def conditional_square_norm(kernel: Kernel, f_values: np.ndarray, n: int,
@@ -539,7 +724,7 @@ def conditional_square_norm(kernel: Kernel, f_values: np.ndarray, n: int,
         w = kernel.apply(f * f + 2.0 * f * u + w)
         u = kernel.apply(f + u)
     ex_sn2 = w + n * kernel.noise_var
-    return float(np.max(np.abs(ex_sn2 / n - sigma2_ref)))
+    return float(kernel.sup(ex_sn2 / n - sigma2_ref))
 
 
 def pf_duality_gap(beta: int, h: GridFunction, f: GridFunction) -> float:

@@ -77,6 +77,38 @@ def test_conditions_task_verdict(tmp_path):
     assert verdict["verdict"] == "converging"
 
 
+@pytest.mark.parametrize("map_name,rate", [("doubling", 0.5),
+                                           ("gauss", 0.3036630028987326)])
+def test_transfer_decay_task_fits_the_spectral_gap(tmp_path, map_name, rate):
+    cfg = write_cfg(tmp_path, f"{map_name}.json", {
+        "task": "transfer-decay",
+        "model": {"kind": "expanding", "map": map_name},
+        "params": {"n_max": 64},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 0
+    fit = json.loads((tmp_path / "out" / "decay_fit.json").read_text())
+    assert not fit["diverged"]
+    assert abs(fit["rho"] - rate) <= 1e-3
+
+
+def test_decompose_task_writes_null_when_unchecked(tmp_path):
+    def run(model, name):
+        cfg = write_cfg(tmp_path, f"{name}.json", {
+            "task": "decompose",
+            "model": model,
+            "params": {"n": 256, "m": 8},
+            "output_dir": str(tmp_path / name),
+        })
+        assert main(["run", cfg]) == 0
+        return json.loads((tmp_path / name / "decompose_summary.json").read_text())
+
+    iterated = run({"kind": "iterated", "rho": 0.5}, "iterated")
+    assert iterated["cond_mean_check"] is None and iterated["cond_mean_checked"] is False
+    circle = run({"kind": "circle", "a": "golden"}, "circle")
+    assert circle["cond_mean_checked"] is True and circle["cond_mean_check"] < 1e-10
+
+
 def test_diophantine_task(tmp_path):
     cfg = write_cfg(tmp_path, "dio.json", {
         "task": "diophantine",

@@ -9,6 +9,7 @@ from scipy import stats
 from mdplab.core import RngStream, SpeedSequence
 from mdplab.mdp import (
     PiecewiseLinearPath,
+    _cond_block_means,
     _enum_circle_block_mean,
     block_martingale_decompose,
     empirical_mdp_point,
@@ -24,8 +25,10 @@ from mdplab.processes import (
     GOLDEN,
     CircleWalkSpec,
     IIDSpec,
+    IteratedFunctionSpec,
     make_circle_walk,
     make_iid,
+    make_iterated_function,
 )
 
 STREAM = RngStream(31415)
@@ -203,6 +206,30 @@ def test_decompose_circle_against_enumeration():
     assert dec.cond_mean_check < 1e-10
     assert dec.reconstruct() == pytest.approx(float(np.sum(path.values)),
                                               abs=1e-10)
+
+
+def test_iterated_cond_block_means_match_closed_form():
+    # E(Y_s - 1/2 | Y_0 = y) = rho^s (y - 1/2) for Y' = rho Y + (1 - rho) U
+    rho, m = 0.5, 16
+    kernel = make_iterated_function(IteratedFunctionSpec(rho=rho)).kernel
+    y = np.random.default_rng(5).random(1000)
+    got = _cond_block_means(kernel, kernel.nodes - 0.5, y, m)
+    gain = sum(rho**s for s in range(1, m + 1))
+    assert np.max(np.abs(got - gain * (y - 0.5))) <= 1e-12
+
+
+def test_decompose_reports_unchecked_cond_means_honestly():
+    model = make_iterated_function(IteratedFunctionSpec(rho=0.5))
+    path = model.sample(512, STREAM.named("dec-iterated"))
+    dec = block_martingale_decompose(model, path, m=8)
+    assert not dec.cond_mean_checked and math.isnan(dec.cond_mean_check)
+    assert dec.reconstruct() == pytest.approx(float(np.sum(path.values)), abs=1e-10)
+    circle = make_circle_walk(CircleWalkSpec(a=GOLDEN))
+    cpath = circle.sample(128, STREAM.named("dec-circle"))
+    assert block_martingale_decompose(circle, cpath, m=4).cond_mean_checked
+    # beyond m = 12 enumeration is not run, so nothing was checked
+    long = block_martingale_decompose(circle, cpath, m=16)
+    assert not long.cond_mean_checked and math.isnan(long.cond_mean_check)
 
 
 def test_decompose_martingale_increments_are_centered():

@@ -138,6 +138,27 @@ def test_iterated_function_contracts():
     assert np.max(np.abs(path.values)) <= model.bound + 1e-12
 
 
+def test_iterated_function_bound_covers_smooth_nonmonotone_observable():
+    # sin(2 pi y) peaks at 1/4 and 3/4, between Chebyshev nodes: the bound
+    # must come from the uniform grid, where the peaks lie
+    model = make_iterated_function(IteratedFunctionSpec(
+        rho=0.5, observable=lambda y: np.sin(2 * np.pi * y)))
+    abs_mean = abs(model.meta["observable"](0.25) - 1.0)  # obs(1/4) = 1 - mean
+    assert model.bound >= 1.0 + abs_mean
+    path = model.sample(4096, STREAM.named("ifs-sin"))
+    assert np.max(np.abs(path.values)) <= model.bound
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: make_iterated_function(IteratedFunctionSpec(rho=0.5, observable=f)),
+    lambda f: make_expanding_map(ExpandingMapSpec(map="doubling", observable=f)),
+    lambda f: make_expanding_map(ExpandingMapSpec(map="gauss", observable=f)),
+])
+def test_spectral_builders_refuse_non_smooth_observables(build):
+    with pytest.raises(ValueError, match="not resolved"):
+        build(lambda x: (np.asarray(x) < 0.3).astype(float))
+
+
 def test_age_chain_stationarity():
     spec = CounterexampleChainSpec()
     pmf = spec.tau_pmf()

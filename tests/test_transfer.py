@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdplab.transfer import (
+    ChebyshevKernel,
     CircleFourierKernel,
     FiniteStateKernel,
     GaussPFKernel,
@@ -14,14 +15,24 @@ from mdplab.transfer import (
     conditional_sum_norm,
     conditional_sum_norm_profile,
     modulus_bound_check,
+    orbit,
     pf_duality_gap,
     stationary_distribution,
     sup_norm_decay,
     total_variation_norm,
     witness_un,
+    _geometric_fit,
 )
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+WIRSING = 0.3036630028987326  # |lambda_2| of the Gauss map's transfer operator
+
+SPECTRAL = {
+    "beta2": (lambda: ChebyshevKernel.integer_beta(2), 0.5),
+    "beta3": (lambda: ChebyshevKernel.integer_beta(3), 1.0 / 3.0),
+    "iterated": (lambda: ChebyshevKernel.iterated(0.5), 0.5),
+    "gauss": (lambda: ChebyshevKernel.gauss(), WIRSING),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -206,3 +217,146 @@ def test_circle_eval_coeffs_matches_complex_sum():
         tol = 8 * np.finfo(float).eps * sum(abs(c) for c in coeffs.values())
         assert np.max(np.abs(got - ref)) <= tol
 
+
+
+def test_circle_sup_norms_bit_identical_to_per_n_evaluation():
+    # the mode basis is computed once per mode; each n must still give the
+    # bits of a fresh eval_coeffs call on that n's coefficients
+    x = np.linspace(0.0, 1.0, 8192, endpoint=False)
+    for coeffs in ({1: 0.5, -1: 0.5},
+                   {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1, 5: -0.05j, -5: 0.05j}):
+        k = CircleFourierKernel(GOLDEN, coeffs)
+        centered = k.centered_coeffs()
+        powers = [np.max(np.abs(k.eval_coeffs(k.power_coeffs(n, centered), x)))
+                  for n in range(1, 65)]
+        sums = [np.max(np.abs(k.cond_sum_eval(n, x))) for n in range(1, 65)]
+        assert list(k.sup_norm_powers(64)) == powers
+        assert list(k.cond_sum_sup_norms(64)) == sums
+
+
+# ---------------------------------------------------------------------------
+# spectral (Chebyshev) kernels
+
+
+def _in_chebyshev_basis(kernel):
+    """The kernel's matrix acting on Chebyshev coefficients instead of node values."""
+    V = np.polynomial.chebyshev.chebvander(2.0 * kernel.nodes - 1.0, kernel.nodes.size - 1)
+    return np.linalg.solve(V, kernel.matrix @ V)
+
+
+@pytest.mark.parametrize("name,rate", [("beta2", 0.5), ("beta3", 1.0 / 3.0),
+                                       ("iterated", 0.5)])
+def test_spectral_polynomial_kernels_have_eigenvalues_rate_powers(name, rate):
+    # K maps degree-d polynomials to degree-d polynomials with leading factor
+    # rate^d, so in the Chebyshev basis the matrix is upper triangular with
+    # diagonal rate^d: the eigenvalue of each invariant subspace P_d. A dense
+    # eigensolver on node values resolves beta^-2 and beta^-3 only to ~1e-13
+    # and ~4e-12, their condition numbers being ~1e3 and ~1e5.
+    C = _in_chebyshev_basis(SPECTRAL[name][0]())
+    assert np.max(np.abs(np.tril(C, -1))) <= 1e-13
+    k = np.arange(4)
+    assert np.max(np.abs(np.diag(C)[:4] - rate**k)) <= 1e-13
+    ev = np.sort(np.abs(np.linalg.eigvals(C[:4, :4])))[::-1]
+    assert np.max(np.abs(ev - rate**k)) <= 1e-13
+    top = np.sort(np.abs(np.linalg.eigvals(SPECTRAL[name][0]().matrix)))[::-1]
+    assert np.max(np.abs(top[:2] - rate**k[:2])) <= 1e-13
+
+
+def test_spectral_gauss_second_eigenvalue_is_wirsing():
+    k = ChebyshevKernel.gauss()
+    ev = np.sort(np.abs(np.linalg.eigvals(k.matrix)))[::-1]
+    assert abs(ev[0] - 1.0) <= 1e-13
+    assert abs(ev[1] - WIRSING) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL))
+def test_spectral_rows_sum_to_one_and_mu_is_invariant(name):
+    k = SPECTRAL[name][0]()
+    assert np.max(np.abs(k.matrix.sum(axis=1) - 1.0)) <= 1e-13
+    assert abs(k.mu(np.ones_like(k.nodes)) - 1.0) <= 1e-14
+    f = np.exp(k.nodes) * np.sin(3.0 * k.nodes)
+    assert abs(k.mu(k.apply(f)) - k.mu(f)) <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [2, 3])
+def test_spectral_beta_kills_cos_on_the_sup_grid(beta):
+    k = ChebyshevKernel.integer_beta(beta)
+    assert k.sup(k.apply(np.cos(2 * np.pi * k.nodes))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL))
+def test_spectral_sup_covers_the_nodes_and_the_grid(name):
+    k = SPECTRAL[name][0]()
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((100, k.nodes.size))
+    sups = k.sup(block)
+    assert np.all(sups >= np.max(np.abs(block), axis=1))
+    # one row alone goes through a different BLAS kernel: equal to rounding
+    assert sups[3] == pytest.approx(k.sup(block[3]), rel=1e-14)
+    # the sup grid sees what the nodes miss: no node sits at the peak x = 1/2
+    bump = 4.0 * k.nodes * (1.0 - k.nodes)
+    assert np.max(bump) < 0.999
+    assert k.sup(bump) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_spectral_eval_interpolates_smooth_functions():
+    k = ChebyshevKernel.integer_beta(2)
+    y = np.linspace(0.0, 1.0, 333)
+    f = lambda x: np.exp(np.sin(2.0 * x)) / (1.5 + x)
+    assert np.max(np.abs(k.eval(f(k.nodes), y) - f(y))) <= 1e-14
+    assert k.eval(f(k.nodes), k.nodes[5:6])[0] == f(k.nodes)[5]
+
+
+@pytest.mark.parametrize("name,grid", [
+    ("beta2", lambda: IntegerBetaPFKernel(2)),
+    ("beta3", lambda: IntegerBetaPFKernel(3)),
+    ("iterated", lambda: IteratedFunctionKernel(0.5)),
+    ("gauss", lambda: GaussPFKernel()),
+])
+def test_spectral_agrees_with_grid_reference_on_smooth_f(name, grid):
+    # the 4097-node grid is second-order accurate on smooth f: ~1e-7 here
+    spec, ref = SPECTRAL[name][0](), grid()
+    f = lambda x: np.sin(2 * np.pi * x) + x * x
+    v_spec, v_grid = f(spec.nodes), f(ref.nodes)
+    for _ in range(3):
+        v_spec, v_grid = spec.apply(v_spec), ref.apply(v_grid)
+        assert np.max(np.abs(spec.eval(v_spec, ref.nodes) - v_grid)) <= 1e-6
+        assert np.max(np.abs(ref.eval(v_grid, spec.nodes) - v_spec)) <= 1e-6
+    assert spec.mu(f(spec.nodes)) == pytest.approx(ref.mu(f(ref.nodes)), abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(SPECTRAL))
+def test_spectral_decay_fit_recovers_the_rate(name, scale):
+    build, rate = SPECTRAL[name]
+    k = build()
+    f = scale * (k.nodes - k.mu(k.nodes))
+    rep = sup_norm_decay(k, f, 64)
+    assert not rep.diverged
+    assert abs(rep.rho / rate - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("beta", [2, 3])
+def test_decay_fit_ignores_rounding_dust(beta):
+    # u_n = beta^-n / 2 ends on a ~1e-15 rounding plateau; fitted through,
+    # the plateau pulls the rate towards 1
+    k = ChebyshevKernel.integer_beta(beta)
+    rep = sup_norm_decay(k, k.nodes - k.mu(k.nodes), 64)
+    assert abs(rep.rho * beta - 1.0) <= 1e-3
+    assert _geometric_fit(rep.u)[1] * beta > 1.1
+
+
+def test_orbit_rows_are_kernel_powers():
+    k = FiniteStateKernel(np.array([[0.7, 0.3], [0.2, 0.8]]), states=np.array([0.0, 1.0]))
+    f = np.array([1.0, -2.0])
+    rows = orbit(k, f, 5)
+    assert rows.shape == (5, 2)
+    for n in range(1, 6):
+        assert np.allclose(rows[n - 1], np.linalg.matrix_power(k.P, n) @ f, atol=1e-15)
+
+
+def test_sup_norm_decay_with_no_steps_returns_empty():
+    k = ChebyshevKernel.integer_beta(2)
+    r = sup_norm_decay(k, np.cos(2 * np.pi * k.nodes), 0)
+    assert r.u.shape == (0,) and r.rho is None
+    assert k.sup(np.zeros((0, k.nodes.size))).shape == (0,)
