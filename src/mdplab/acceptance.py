@@ -203,9 +203,9 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
         ("doubling_cos", doubling, 1e-12),
         ("beta3_cos", make_expanding_map(ExpandingMapSpec(map="beta", beta=3,
                                                           mean=0.0)), 1e-12),
-        ("gauss", make_expanding_map(ExpandingMapSpec(map="gauss")), 1e-5),
+        ("gauss", make_expanding_map(ExpandingMapSpec(map="gauss")), 1e-12),
         ("iterated_rho05", make_iterated_function(IteratedFunctionSpec(rho=0.5)),
-         1e-6),
+         1e-12),
         ("circle_golden", circle, 0.0),
     ]
     cond_rows = []

@@ -3,12 +3,24 @@
 Samplers are pure functions of (seed, n): replica r of experiment e draws from
 an independent counter-derived stream, so parallel replicas never share state
 and reruns are byte-identical.
+
+Replica chunks run concurrently through `map_chunks`: the Monte Carlo loops of
+`inequalities.verify_domination`, the naive branch of
+`mdp.empirical_mdp_point` and `mdp.tilted_is_estimator`. It uses one
+process-wide thread pool of min(4, CPUs this process may run on) threads,
+and never more threads than chunks. The bytes do not depend on that count:
+chunk ci draws only from its own generator `stream.child(ci)`, and every
+caller reduces the chunk results in ascending ci. Everything else, including
+`ProcessModel.sample_batch`, stays serial.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -25,6 +37,8 @@ __all__ = [
     "max_abs_partial_sum",
     "csv_cell",
     "write_csv",
+    "chunk_workers",
+    "map_chunks",
 ]
 
 
@@ -155,6 +169,64 @@ class ProcessModel:
         for r in range(replicas):
             rows[r] = self.sample(n, stream.child(r)).values
         return rows
+
+
+MAX_CHUNK_WORKERS = 4
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+_worker = threading.local()  # .active is True on the pool's own threads
+
+
+def chunk_workers() -> int:
+    """Threads `map_chunks` may use: the CPUs this process may run on, at most 4."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(MAX_CHUNK_WORKERS, cpus)
+
+
+def _mark_worker():
+    _worker.active = True
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=chunk_workers(),
+                                       thread_name_prefix="mdplab-chunk",
+                                       initializer=_mark_worker)
+        return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def map_chunks(fn: Callable[[int], Any], count: int) -> list:
+    """[fn(0), .., fn(count - 1)], run concurrently on the shared pool.
+
+    The result list is in chunk order whatever order the chunks finish in.
+    The first failing chunk, in chunk order, re-raises its exception here.
+    A call from a pool thread, or with one worker or one chunk, runs inline,
+    so nested calls cannot deadlock.
+    """
+    if count <= 1 or chunk_workers() <= 1 or getattr(_worker, "active", False):
+        return [fn(ci) for ci in range(count)]
+    futures = [_executor().submit(fn, ci) for ci in range(count)]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()  # after a failure, drop the chunks not yet started
 
 
 def partial_sums(path: Path) -> np.ndarray:

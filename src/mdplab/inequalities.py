@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .core import ProcessModel, RngStream
+from .core import ProcessModel, RngStream, map_chunks
 
 __all__ = [
     "BOUND_KINDS",
@@ -147,17 +147,22 @@ def verify_domination(model: ProcessModel, bound_spec: dict,
 
     Chunked sampling: chunk ci is one (chunk, n) block drawn from the derived
     generator stream.child(ci), so the run is deterministic in (master seed,
-    chunk size) and memory stays bounded by one block.
+    chunk size) whatever the number of chunks in flight (`map_chunks`), and
+    memory stays bounded by one block per worker.
     """
     if replicas < 1000:
         raise ValueError("need at least 10^3 replicas for a meaningful verdict")
     evaluator = _bound_evaluator(model, bound_spec, n)
     thresholds = sorted(float(t) for t in thresholds)
-    maxima = np.empty(replicas)
-    for ci, start in enumerate(range(0, replicas, chunk)):
-        take = min(chunk, replicas - start)
+
+    def chunk_maxima(ci):
+        take = min(chunk, replicas - ci * chunk)
         block = model.sample_block(n, take, stream.child(ci).generator())
-        maxima[start:start + take] = np.max(np.abs(np.cumsum(block, axis=1)), axis=1)
+        np.cumsum(block, axis=1, out=block)
+        np.abs(block, out=block)
+        return np.max(block, axis=1)
+
+    maxima = np.concatenate(map_chunks(chunk_maxima, -(-replicas // chunk)))
     reports = []
     for t in thresholds:
         k = int(np.sum(maxima >= t))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
-from .core import ProcessModel, RngStream, SpeedSequence, csv_cell
+from .core import ProcessModel, RngStream, SpeedSequence, csv_cell, map_chunks
 from .processes import IIDSpec
 from .transfer import orbit
 
@@ -355,20 +355,19 @@ def tilted_is_estimator(spec: IIDSpec, n: int, t: float, replicas: int,
     theta = _solve_tilt(spec, t / n)
     K, _ = _cgf(spec)
     nk = float(n * K(theta))
-    w_sum = 0.0
-    w2_sum = 0.0
-    done = 0
-    ci = 0
-    while done < replicas:
-        take = min(chunk, replicas - done)
-        rng = stream.child(ci).generator()
-        x = _draw_tilted(spec, theta, (take, n), rng)
+
+    def chunk_weights(ci):
+        take = min(chunk, replicas - ci * chunk)
+        x = _draw_tilted(spec, theta, (take, n), stream.child(ci).generator())
         s = x.sum(axis=1)
         w = np.where(s >= t, np.exp(-theta * s + nk), 0.0)
-        w_sum += float(np.sum(w))
-        w2_sum += float(np.sum(w * w))
-        done += take
-        ci += 1
+        return float(np.sum(w)), float(np.sum(w * w))
+
+    w_sum = 0.0
+    w2_sum = 0.0
+    for w1, w2 in map_chunks(chunk_weights, -(-replicas // chunk)):  # ascending ci
+        w_sum += w1
+        w2_sum += w2
     mean_w = w_sum / replicas
     if mean_w == 0.0:
         return -math.inf, math.inf
@@ -433,12 +432,14 @@ def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
                 f"naive MC refused: expected exceedances {expected:.2f} < 20 at this "
                 f"threshold; raise replicas to ~{math.ceil(20 / max(expected / replicas, 1e-300))} "
                 "or use the tilted estimator")
-        hits = 0
         sub = stream.named("naive", n)
-        for ci, start in enumerate(range(0, replicas, 1024)):
-            take = min(1024, replicas - start)
+
+        def chunk_hits(ci):
+            take = min(1024, replicas - ci * 1024)
             block = model.sample_block(n, take, sub.child(ci).generator())
-            hits += int(np.sum(np.sum(block, axis=1) >= t))
+            return int(np.sum(np.sum(block, axis=1) >= t))
+
+        hits = sum(map_chunks(chunk_hits, -(-replicas // 1024)))
         if hits == 0:
             return MdpPointEstimate(n=n, a_n=a_n, x=x, method=method, threshold=t,
                                     estimate=None, flags=("no_exceedance",))

@@ -8,6 +8,7 @@ precision, and the circle walk carries an exact Fourier kernel.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -40,6 +41,9 @@ __all__ = [
 
 GAUSS_ORBIT_CAP = 10_000
 GAUSS_DPS = 40  # ~130 bits; bounded shadowing error at desk scale
+# mpmath's working precision is one process-global context: concurrent
+# replica chunks would change it under each other
+_GAUSS_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +337,7 @@ def _gauss_orbit(n: int, rng: np.random.Generator,
     u = np.asarray(rng.random(reps))
     out = np.empty(u.shape + (n,))
     # the extended-precision shift has no array form: one orbit per start
-    with mpmath.workdps(GAUSS_DPS):
+    with _GAUSS_LOCK, mpmath.workdps(GAUSS_DPS):
         for idx, ui in np.ndenumerate(u):
             x = mpmath.mpf(2) ** float(ui) - 1  # inverse CDF of density 1/((1+x) ln 2)
             for k in range(n):
@@ -377,11 +381,16 @@ def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
 
     def sampler(n, rng, reps=None):
         xi0 = np.asarray(rng.random(reps))[..., None]
-        steps = (rng.integers(0, 2, _shape(reps, n)) * 2 - 1) * spec.a
-        xi = np.mod(xi0 + np.cumsum(steps, axis=-1), 1.0)
         # n+1 states: xi0 first, so conditioning on the pre-walk position works
-        return (CircleFourierKernel.eval_coeffs(centered, xi),
-                np.concatenate([xi0, xi], axis=-1))
+        states = np.empty(_shape(reps, n + 1))
+        states[..., :1] = xi0
+        xi = states[..., 1:]
+        # steps -> cumsum -> + xi0 -> mod 1, each written in place into xi
+        np.multiply(rng.integers(0, 2, _shape(reps, n)) * 2 - 1, spec.a, out=xi)
+        np.cumsum(xi, axis=-1, out=xi)
+        np.add(xi0, xi, out=xi)
+        np.mod(xi, 1.0, out=xi)
+        return CircleFourierKernel.eval_coeffs(centered, xi), states
 
     return ProcessModel(name="circle_walk", bound=bound * (1 + 1e-9), sampler=sampler,
                         kernel=kernel, meta={"a": spec.a, "coeffs": dict(centered),

@@ -22,6 +22,8 @@ __all__ = [
     "sigma2_circle_fourier",
 ]
 
+COV_BLOCK_ROWS = 64  # rows per pass of sigma2_covariance_series
+
 
 @dataclass
 class SigmaEstimate:
@@ -70,12 +72,20 @@ def sigma2_covariance_series(paths, k_max: int) -> SigmaEstimate:
 
     # per-row statistics (grand-mean centered) make the leave-one-out
     # estimates linear, so the jackknife costs O(replicas) after one sweep
-    x = rows - np.mean(rows)
-    n = x.shape[1]
-    per_row = np.sum(x * x, axis=1) / n
-    for k in range(1, k_max + 1):
-        per_row = per_row + 2.0 * np.sum(x[:, :-k] * x[:, k:], axis=1) / n
-    r = rows.shape[0]
+    mean = np.mean(rows)
+    r, n = rows.shape
+    per_row = np.empty(r)
+    # a cache-sized block of rows at a time; every lag product goes into one
+    # reused buffer, each row still summed over its own n - k products
+    buf = np.empty((min(r, COV_BLOCK_ROWS), n))
+    for lo in range(0, r, COV_BLOCK_ROWS):
+        x = rows[lo:lo + COV_BLOCK_ROWS] - mean
+        b = x.shape[0]
+        acc = np.sum(np.multiply(x, x, out=buf[:b]), axis=1) / n
+        for k in range(1, k_max + 1):
+            lag = np.multiply(x[:, :-k], x[:, k:], out=buf[:b, k:])
+            acc = acc + 2.0 * np.sum(lag, axis=1) / n
+        per_row[lo:lo + b] = acc
     full = float(np.mean(per_row))
     loo = (np.sum(per_row) - per_row) / (r - 1)
     se = float(np.sqrt((r - 1) / r * np.sum((loo - np.mean(loo)) ** 2)))

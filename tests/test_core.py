@@ -1,11 +1,19 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from mdplab import core
 from mdplab.core import (
     Path,
     ProcessModel,
     RngStream,
     SpeedSequence,
+    map_chunks,
     max_abs_partial_sum,
     normalized_process,
     partial_sums,
@@ -105,3 +113,95 @@ def test_sample_block_rejects_wrong_shape():
     with pytest.raises(RuntimeError, match="shape"):
         model.sample_block(8, 3, RngStream(0).generator())
 
+
+def test_chunk_workers_rule():
+    assert 1 <= core.chunk_workers() <= core.MAX_CHUNK_WORKERS == 4
+    assert core.chunk_workers() == min(4, len(os.sched_getaffinity(0)))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_chunks_returns_chunk_order(chunk_workers, workers):
+    chunk_workers(workers)
+
+    def late_first(ci):
+        time.sleep(0.002 * (8 - ci))  # chunk 0 finishes last
+        return ci * ci
+
+    assert map_chunks(late_first, 8) == [ci * ci for ci in range(8)]
+    assert map_chunks(late_first, 0) == []
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_chunks_reraises_first_failing_chunk(chunk_workers, workers):
+    chunk_workers(workers)
+
+    def fail_from_3(ci):
+        if ci >= 3:
+            raise RuntimeError(f"chunk {ci}")
+        return ci
+
+    with pytest.raises(RuntimeError, match="chunk 3"):
+        map_chunks(fail_from_3, 8)
+
+
+def test_map_chunks_nested_call_runs_inline(chunk_workers):
+    chunk_workers(2)
+    result = []
+
+    def outer(ci):
+        # every worker blocks here; a nested submit to the pool would deadlock
+        return map_chunks(lambda cj: (ci, cj, threading.current_thread().name), 3)
+
+    caller = threading.Thread(target=lambda: result.append(map_chunks(outer, 4)),
+                              daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    rows = result[0]
+    assert [[(ci, cj) for ci, cj, _ in row] for row in rows] == \
+        [[(ci, cj) for cj in range(3)] for ci in range(4)]
+    # each nested call stayed on the worker thread that made it
+    assert all(len({name for *_, name in row}) == 1 for row in rows)
+    assert all(name.startswith("mdplab-chunk") for row in rows for *_, name in row)
+
+
+def test_map_chunks_concurrent_callers_share_one_pool(chunk_workers):
+    chunk_workers(3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = {}
+        callers = [threading.Thread(target=lambda i=i: out.__setitem__(
+            i, map_chunks(lambda ci: (i, ci, threading.get_ident()), 16)))
+            for i in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(switch)
+    assert {i: [row[:2] for row in out[i]] for i in out} == \
+        {i: [(i, ci) for ci in range(16)] for i in range(6)}
+    # one pool for all callers: a second, racing pool would add threads
+    assert len({row[2] for rows in out.values() for row in rows}) <= 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_map_chunks_in_forked_child(chunk_workers):
+    chunk_workers(2)
+    assert map_chunks(lambda ci: ci, 4) == [0, 1, 2, 3]  # the parent's pool exists
+    ctx = multiprocessing.get_context("fork")
+    ok = ctx.Value("b", 0)
+
+    def child():
+        # the inherited pool has no threads here; a fresh one must take over
+        ok.value = map_chunks(lambda ci: ci * 2, 4) == [0, 2, 4, 6]
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    alive = proc.is_alive()
+    if alive:
+        proc.kill()
+    assert not alive and proc.exitcode == 0 and ok.value

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mdplab.core import RngStream
+from mdplab.core import ProcessModel, RngStream
 from mdplab.inequalities import (
     azuma_bound,
     blocking_bound_first_term,
@@ -13,7 +13,15 @@ from mdplab.inequalities import (
     puw_bound,
     verify_domination,
 )
-from mdplab.processes import IIDSpec, make_iid
+from mdplab.processes import (
+    GOLDEN,
+    CircleWalkSpec,
+    IIDSpec,
+    LinearProcessSpec,
+    make_circle_walk,
+    make_iid,
+    make_linear_process,
+)
 
 STREAM = RngStream(777)
 
@@ -123,3 +131,51 @@ def test_verify_domination_matches_per_replica_loop():
     for rep, t in zip(reports, thresholds):
         assert rep.p_hat == np.sum(maxima >= t) / replicas
 
+
+
+POOL_MODELS = {
+    "iid": lambda: make_iid(IIDSpec()),
+    "circle": lambda: make_circle_walk(CircleWalkSpec(a=GOLDEN)),
+    "linear": lambda: make_linear_process(LinearProcessSpec(
+        coeff_kind="geometric", C=0.25, rho=0.5)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("key", sorted(POOL_MODELS))
+def test_verify_domination_matches_serial_chunk_loop(chunk_workers, key, workers):
+    chunk_workers(workers)
+    model = POOL_MODELS[key]()
+    n, replicas, chunk = 48, 2300, 256  # 9 chunks, the last one short
+    stream = STREAM.named(f"dom-pool-{key}")
+    # reference: the chunks one after another, out-of-place arithmetic
+    maxima = []
+    for ci, start in enumerate(range(0, replicas, chunk)):
+        block = model.sample_block(n, min(chunk, replicas - start),
+                                   stream.child(ci).generator())
+        maxima.append(np.max(np.abs(np.cumsum(block, axis=1)), axis=1))
+    maxima = np.concatenate(maxima)
+    # every observed maximum is a threshold, so each replica's value is pinned
+    thresholds = np.unique(maxima)
+    reports = verify_domination(model, {"kind": "azuma"}, thresholds, replicas, n,
+                                stream, chunk=chunk)
+    assert [r.p_hat for r in reports] == \
+        [np.sum(maxima >= t) / replicas for t in thresholds]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_verify_domination_reraises_chunk_3_bound_error(chunk_workers, workers):
+    chunk_workers(workers)
+    stream = STREAM.named("dom-bad-chunk")
+    bad_key = stream.child(3).generator().bit_generator.state["state"]["key"]
+
+    def sampler(n, rng, reps=None):
+        values = rng.integers(0, 2, (reps, n)) * 2.0 - 1.0
+        if np.array_equal(rng.bit_generator.state["state"]["key"], bad_key):
+            values[-1, -1] = 1.5  # only chunk 3 breaks the bound
+        return values
+
+    model = ProcessModel(name="chunk3", bound=1.0, sampler=sampler)
+    with pytest.raises(RuntimeError, match="exceeds bound"):
+        verify_domination(model, {"kind": "azuma"}, [10.0], replicas=2000, n=16,
+                          stream=stream, chunk=256)

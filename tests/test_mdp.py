@@ -9,8 +9,11 @@ from scipy import stats
 from mdplab.core import RngStream, SpeedSequence
 from mdplab.mdp import (
     PiecewiseLinearPath,
+    _cgf,
     _cond_block_means,
+    _draw_tilted,
     _enum_circle_block_mean,
+    _solve_tilt,
     block_martingale_decompose,
     empirical_mdp_point,
     endpoint_rate,
@@ -276,3 +279,46 @@ def test_naive_estimator_matches_per_replica_loop():
             hits += float(np.sum(values)) >= t
     assert point.estimate == math.log(hits / replicas)
 
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_naive_point_matches_serial_chunk_loop(chunk_workers, workers):
+    chunk_workers(workers)
+    model = make_circle_walk(CircleWalkSpec(a=GOLDEN))
+    n, replicas, x = 64, 5000, 0.25  # 5 chunks of 1024, the last one short
+    stream = STREAM.named("naive-pool")
+    point = empirical_mdp_point(model, n, 1.0, x, "naive", replicas=replicas,
+                                stream=stream, sigma2=0.08)  # sigma^2 = 0.0757
+    sub = stream.named("naive", n)
+    hits = 0
+    for ci, start in enumerate(range(0, replicas, 1024)):
+        block = model.sample_block(n, min(1024, replicas - start),
+                                   sub.child(ci).generator())
+        hits += int(np.sum(np.sum(block, axis=1) >= point.threshold))
+    p_hat = hits / replicas
+    assert point.estimate == math.log(p_hat)
+    assert point.se == math.sqrt((1 - p_hat) / (p_hat * replicas))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_tilted_estimator_matches_serial_chunk_loop(chunk_workers, workers):
+    chunk_workers(workers)
+    spec = IIDSpec(law="uniform", c=1.0)
+    n, replicas, chunk = 100, 2100, 256  # 9 chunks, the last one short
+    t = 0.4 * n
+    stream = STREAM.named("tilt-pool")
+    est, se = tilted_is_estimator(spec, n, t, replicas, stream, chunk=chunk)
+    # reference: chunk sums added in ascending ci, as the serial loop adds them
+    theta = _solve_tilt(spec, t / n)
+    nk = float(n * _cgf(spec)[0](theta))
+    w_sum = w2_sum = 0.0
+    for ci, start in enumerate(range(0, replicas, chunk)):
+        x = _draw_tilted(spec, theta, (min(chunk, replicas - start), n),
+                         stream.child(ci).generator())
+        s = x.sum(axis=1)
+        w = np.where(s >= t, np.exp(-theta * s + nk), 0.0)
+        w_sum += float(np.sum(w))
+        w2_sum += float(np.sum(w * w))
+    mean_w = w_sum / replicas
+    assert est == math.log(mean_w)
+    assert se == math.sqrt(max(w2_sum / replicas - mean_w**2, 0.0) / replicas) / mean_w

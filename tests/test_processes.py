@@ -1,8 +1,11 @@
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from mdplab.core import RngStream
+from mdplab.core import RngStream, map_chunks
 from mdplab.processes import (
     GOLDEN,
     CircleWalkSpec,
@@ -223,3 +226,41 @@ def test_block_equals_sequential_draws(key):
     rows = np.array([_values(model.sampler(n, rng)) for _ in range(reps)])
     assert np.array_equal(block, rows)
 
+
+
+@pytest.mark.parametrize("reps", [None, 7])
+def test_circle_sampler_in_place_chain_matches_out_of_place(reps):
+    spec = CircleWalkSpec(a=GOLDEN)
+    model = make_circle_walk(spec)
+    n = 300
+    values, states = model.sampler(n, STREAM.named("circle-chain").generator(), reps)
+    # reference: the chain written out of place, from the same draws
+    rng = STREAM.named("circle-chain").generator()
+    shape = (n,) if reps is None else (reps, n)
+    xi0 = np.asarray(rng.random(reps))[..., None]
+    steps = (rng.integers(0, 2, shape) * 2 - 1) * spec.a
+    xi = np.mod(xi0 + np.cumsum(steps, axis=-1), 1.0)
+    assert np.array_equal(states, np.concatenate([xi0, xi], axis=-1))
+    assert np.array_equal(values, model.kernel.eval_coeffs(model.meta["coeffs"], xi))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_gauss_blocks_deterministic_under_the_chunk_pool(chunk_workers, workers):
+    chunk_workers(workers)  # 4 threads on any host, more than CI's cores
+    model = BUILDS["gauss"]()
+    stream = STREAM.named("gauss-pool")
+    n, take, chunks = 32, 24, 8
+
+    def block(ci):
+        return model.sample_block(n, take, stream.child(ci).generator())
+
+    serial = [block(ci) for ci in range(chunks)]
+    prec = mpmath.mp.prec
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the chunks as finely as possible
+    try:
+        pooled = map_chunks(block, chunks)
+    finally:
+        sys.setswitchinterval(switch)
+    assert mpmath.mp.prec == prec
+    assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))

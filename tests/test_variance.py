@@ -96,3 +96,21 @@ def test_negative_estimate_clamps_with_warning():
     assert est.clamped
     assert est.value == 0.0
     assert any("clamped" in str(wi.message) for wi in w)
+
+
+@pytest.mark.parametrize("shape,k_max", [((150, 700), 20), ((64, 400), 3),
+                                         ((1, 20_000), 10), ((300, 5), 7)])
+def test_covariance_series_blocks_match_whole_array_loop(shape, k_max):
+    rows = np.random.default_rng(7).standard_normal(shape) + 0.25
+    est = sigma2_covariance_series(rows, k_max)
+    # reference: the whole-array formula, one temporary per lag
+    x = rows if shape[0] > 1 else rows[0].reshape(16, -1)
+    x = x - np.mean(x)
+    n = x.shape[1]
+    per_row = np.sum(x * x, axis=1) / n
+    for k in range(1, k_max + 1):
+        per_row = per_row + 2.0 * np.sum(x[:, :-k] * x[:, k:], axis=1) / n
+    r = x.shape[0]
+    loo = (np.sum(per_row) - per_row) / (r - 1)
+    assert est.value == float(np.mean(per_row))
+    assert est.se == float(np.sqrt((r - 1) / r * np.sum((loo - np.mean(loo)) ** 2)))
