@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import ProcessModel
 from .transfer import (Kernel, conditional_square_norm, conditional_sum_norm_profile,
@@ -192,14 +191,36 @@ def check_bis(model: ProcessModel, n_max: int = 512,
     return diagnose_series(n ** (-0.5) * norms, floor=max(floor, dust_floor(f)))
 
 
+def _average_ranks(v) -> np.ndarray:
+    """Ranks 1..n of v, ties sharing the mean of the ranks they span."""
+    v = np.asarray(v, dtype=float)
+    order = np.argsort(v, kind="stable")
+    first = np.flatnonzero(np.r_[True, v[order][1:] != v[order][:-1]])
+    span_end = np.r_[first[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((first + span_end + 1) / 2.0, span_end - first)
+    return ranks
+
+
+def _spearman_rho(x, y) -> float:
+    """Spearman's rank correlation with average ranks for ties (nan if either
+    input is constant), as `scipy.stats.spearmanr` defines it. The ranks are
+    centred on their exact mean (n+1)/2, so for moderate n the numerator is
+    summed exactly and its sign is exact."""
+    rx, ry = _average_ranks(x), _average_ranks(y)
+    rx -= (rx.size + 1) / 2.0
+    ry -= (ry.size + 1) / 2.0
+    den = np.sqrt(np.dot(rx, rx) * np.dot(ry, ry))
+    return float(np.dot(rx, ry) / den) if den > 0 else float("nan")
+
+
 def check_s2inf(model: ProcessModel, sigma2_ref: float,
                 n_list: Sequence[int]):
     """Deviation ||n^{-1} E(S_n^2|F_0) - sigma2||_inf per n; pass iff the trend decreases."""
     kernel, f = _kernel_and_observable(model)
     devs = np.array([conditional_square_norm(kernel, f, n, sigma2_ref) for n in n_list])
     if len(n_list) >= 3 and np.max(devs) > 0:
-        rho, _ = stats.spearmanr(n_list, devs)
-        passed = bool(rho < 0)
+        passed = bool(_spearman_rho(n_list, devs) < 0)
     else:
         passed = bool(devs[-1] <= devs[0] + 1e-15)
     return devs, passed

@@ -4,6 +4,12 @@ Two number representations: quadratic surds (P + sqrt(D))/Q run on exact
 integer arithmetic forever; decimal literals carry an explicit error radius
 and every derived quantity is computed by interval arithmetic, failing
 loudly ("depth limited" / "insufficient precision") instead of degrading.
+
+The Diophantine arrays d(k a, Z), k = 1..K, behind the approximation audit
+and the Paroux sums come from one exact integer kernel
+(`dist_to_integers_array`): k*A mod 10^40 on 45-bit int64 limbs, rounded to
+float once, so every entry equals float(min(m, 10^40 - m)) / 1e40 for
+m = k*A mod 10^40, to the bit, with no per-k Python loop.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ __all__ = [
 
 _SCALE_DIGITS = 40
 _SCALE = 10**_SCALE_DIGITS
+# dist_to_integers_array's kernel holds integers below 2 * 10^40 < 2^135 as
+# three 45-bit limbs, so limb sums and borrows never leave int64
+_LIMB_BITS = 45
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class PrecisionError(ValueError):
@@ -210,23 +220,107 @@ def dist_to_integers(k: int, a: IrrationalSpec):
     return float(d), float(err)
 
 
+def _limbs(values) -> tuple:
+    """(low, middle, high) int64 limb arrays of integers in [0, 2^135)."""
+    rows = np.array([(v & _LIMB_MASK, (v >> _LIMB_BITS) & _LIMB_MASK, v >> 2 * _LIMB_BITS)
+                     for v in values], dtype=np.int64).reshape(-1, 3)
+    return tuple(np.ascontiguousarray(rows[:, i]) for i in range(3))
+
+
+def _sub_limbs(x: tuple, y: tuple) -> tuple:
+    """x - y on limbs with the borrows propagated; the high limb carries the sign."""
+    lo = x[0] - y[0]
+    mid = x[1] - y[1] + (lo >> _LIMB_BITS)
+    hi = x[2] - y[2] + (mid >> _LIMB_BITS)
+    return lo & _LIMB_MASK, mid & _LIMB_MASK, hi
+
+
+def _limbs_to_float(x: tuple) -> np.ndarray:
+    """float(x) for limb triples x < 2^135, correctly rounded like Python's float(int).
+
+    The top of x is cut into a window of 62 or 63 bits (never more, so it
+    stays a positive int64, and at least 55, so one ulp of a double plus a
+    round bit and a sticky bit fit); the cut-off bits are OR-ed into the
+    window's last bit. The int64 -> float64 cast rounds that window once,
+    half to even, and `ldexp` scales it back exactly.
+    """
+    lo, mid, hi = x
+    # magnitude estimate: the exponent e of its float is bit_length(x) or one more
+    approx = hi * 2.0 ** (2 * _LIMB_BITS) + mid * 2.0 ** _LIMB_BITS + lo
+    shift = np.maximum(np.frexp(approx)[1].astype(np.int64) - 63, 0)
+    # numpy shifts by a count outside [0, 64) give 0 for non-negative values
+    window = ((hi << (2 * _LIMB_BITS - shift))
+              | (mid << (_LIMB_BITS - shift)) | (mid >> (shift - _LIMB_BITS))
+              | (lo >> shift))
+    mid_cut = np.maximum(shift - _LIMB_BITS, 0)
+    sticky = (mid & ((1 << mid_cut) - 1)) | (lo & ((1 << shift) - 1))
+    window |= sticky != 0
+    return np.ldexp(window.astype(np.float64), shift)
+
+
+_S_LIMBS = tuple(int(v[0]) for v in _limbs([_SCALE]))
+_HALF_LIMBS = tuple(int(v[0]) for v in _limbs([_SCALE // 2]))
+_KERNEL_CHUNK = 1 << 13  # values of k per kernel pass; bounds the transient arrays
+
+
+def _kernel_layout(K: int) -> tuple:
+    """(table width B, table rows, rows per pass) for k = 0..K laid out as k = qB + r."""
+    width = min(math.isqrt(K) + 1, _KERNEL_CHUNK)
+    return width, K // width + 1, max(1, _KERNEL_CHUNK // width)
+
+
 def dist_to_integers_array(a: IrrationalSpec, K: int) -> np.ndarray:
     """d(k a, Z) for k = 1..K via the scaled-integer fast path.
 
-    Error per entry is below (k+1)/10^40, far under float resolution for
-    K <= 10^7.
+    Entry k equals float(min(m, 10^40 - m)) / 1e40 with m = k*A mod 10^40 and
+    A = a.scaled_int(), to the bit. Its error against the true d(k a, Z) is
+    below (k+1)/10^40, far under float resolution for K <= 10^7.
+
+    Exact integer kernel, no per-k Python loop: with k = qB + r and B about
+    sqrt(K), k*A mod S (S = 10^40) is (Q_q + R_r) mod S for two tables built
+    in Python integers, R_r = r*A mod S and Q_q = q*(B*A mod S) mod S. Each
+    table entry is held as three 45-bit int64 limbs; the chunks of k (rows q
+    times all r) add limbwise with carries, subtract S at most once and fold
+    to min(m, S - m) exactly, then round to float once (`_limbs_to_float`).
     """
-    A = a.scaled_int()
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     out = np.empty(K)
-    m = 0
-    for k in range(1, K + 1):
-        m = (m + A) % _SCALE
-        out[k - 1] = min(m, _SCALE - m)
-    return out / _SCALE
+    if K == 0:
+        return out
+    A = a.scaled_int()
+    width, rows, rows_per_pass = _kernel_layout(K)
+    step = width * A % _SCALE
+    R = _limbs([r * A % _SCALE for r in range(width)])
+    Q = _limbs([q * step % _SCALE for q in range(rows)])
+    for q0 in range(0, rows, rows_per_pass):
+        q1 = min(q0 + rows_per_pass, rows)
+        # m = Q_q + R_r < 2S, carries propagated; rows of k = qB + r laid end to end
+        lo = (Q[0][q0:q1, None] + R[0]).ravel()
+        mid = (Q[1][q0:q1, None] + R[1]).ravel() + (lo >> _LIMB_BITS)
+        hi = (Q[2][q0:q1, None] + R[2]).ravel() + (mid >> _LIMB_BITS)
+        m = (lo & _LIMB_MASK, mid & _LIMB_MASK, hi)
+        # m mod S: subtract S where that leaves m >= 0
+        t = _sub_limbs(m, _S_LIMBS)
+        m = tuple(np.where(t[2] < 0, mi, ti) for mi, ti in zip(m, t))
+        # min(m, S - m): S - m where m > S/2, i.e. where S/2 - m < 0
+        above = _sub_limbs(_HALF_LIMBS, m)[2] < 0
+        u = _sub_limbs(_S_LIMBS, m)
+        d = tuple(np.where(above, ui, mi) for mi, ui in zip(m, u))
+        k0 = q0 * width
+        first, last = max(k0, 1), min(q1 * width - 1, K)
+        out[first - 1:last] = _limbs_to_float(d)[first - k0:last - k0 + 1]
+    out /= _SCALE
+    return out
 
 
 def badly_approximable_audit(a: IrrationalSpec, eps: float, K: int):
-    """All k <= K with d(k a, Z) < k^(-1-eps); a finite-range check, not a proof."""
+    """All k <= K with d(k a, Z) < k^(-1-eps); a finite-range check, not a proof.
+
+    The distances come from `dist_to_integers_array`'s exact kernel.
+    """
+    if K < 1:
+        raise ValueError(f"audit range K must be >= 1, got {K}")
     if eps <= 0.0:
         raise ValueError("eps must be positive (eps = 0 hits every convergent)")
     # the smallest threshold in play is K^(-1-eps); distances must resolve it
@@ -246,7 +340,8 @@ def _fhat_values(fhat, ks: np.ndarray) -> np.ndarray:
 
 def paroux_sum(fhat, a: IrrationalSpec, K: int):
     """Partial sums of sum over 0<|k|<=K of |fhat(k)|^2 / d(ka,Z)^2,
-    with dyadic-block subtotals (blocks 2^N <= k < 2^(N+1))."""
+    with dyadic-block subtotals (blocks 2^N <= k < 2^(N+1)); the distances
+    come from `dist_to_integers_array`'s exact kernel."""
     d = dist_to_integers_array(a, K)
     ks = np.arange(1, K + 1)
     c = _fhat_values(fhat, ks)

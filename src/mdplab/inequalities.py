@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from .core import ProcessModel, RngStream, map_chunks
 
@@ -92,12 +92,15 @@ def blocking_bound_first_term(n: int, B: float, c: int, delta: float) -> float:
 
 
 def clopper_pearson_upper(k: int, n: int, confidence: float = 0.95) -> float:
-    """Exact binomial upper confidence limit for k successes in n trials."""
+    """Exact binomial upper confidence limit for k successes in n trials:
+    the `confidence` quantile of Beta(k + 1, n - k), read off the inverse
+    regularized incomplete beta function. It equals `scipy.stats.beta.ppf`,
+    whose import the CLI does not pay for."""
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n, n >= 1")
     if k == n:
         return 1.0
-    return float(stats.beta.ppf(confidence, k + 1, n - k))
+    return float(betaincinv(k + 1, n - k, confidence))
 
 
 @dataclass

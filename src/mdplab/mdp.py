@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import norm
+from scipy.special import gammaln, logsumexp, ndtr
 
 from .core import ProcessModel, RngStream, SpeedSequence, csv_cell, map_chunks
 from .processes import IIDSpec
@@ -426,7 +425,7 @@ def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
         s2 = sigma2 if sigma2 is not None else model.meta.get("sigma2")
         if s2 is None:
             raise ValueError("naive pre-flight needs a sigma2 estimate")
-        expected = replicas * float(norm.sf(t / math.sqrt(s2 * n)))
+        expected = replicas * float(ndtr(-t / math.sqrt(s2 * n)))  # normal tail
         if expected < 20.0:
             raise ValueError(
                 f"naive MC refused: expected exceedances {expected:.2f} < 20 at this "

@@ -290,6 +290,26 @@ def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
               "delta_bounds": delta, "spec": spec})
 
 
+_AR1_CHUNK = 1 << 16  # drive values per Python-float chunk of a single path
+
+
+def _ar1_path(y0: float, drive: np.ndarray, rho: float) -> np.ndarray:
+    """y_0 = y0, y_t = rho * y_(t-1) + drive[t-1]: one path, on Python floats.
+
+    The same two IEEE operations per step as the row-vector recurrence, so
+    the values are identical, without boxing every step as a numpy scalar.
+    """
+    y = np.empty(drive.size + 1)
+    y[0] = prev = y0
+    for start in range(0, drive.size, _AR1_CHUNK):
+        steps = []
+        for d in drive[start:start + _AR1_CHUNK].tolist():
+            prev = rho * prev + d
+            steps.append(prev)
+        y[start + 1:start + 1 + len(steps)] = steps
+    return y
+
+
 def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
     rho = spec.rho
     burn = int(math.ceil(math.log(spec.burn_in_tol) / math.log(rho)))
@@ -303,10 +323,13 @@ def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
     def sampler(n, rng, reps=None):
         eps = rng.random(_shape(reps, n + burn))
         y0 = rng.random(reps)
-        # the recurrence runs over time; each step updates every row at once
         drive = (1.0 - rho) * np.moveaxis(eps, -1, 0)[1:]
-        y = np.array(list(accumulate(drive, lambda prev, d: rho * prev + d, initial=y0)))
-        y = np.moveaxis(y, 0, -1)
+        if reps is None:
+            y = _ar1_path(y0, drive, rho)
+        else:
+            # the recurrence runs over time; each step updates every row at once
+            y = np.array(list(accumulate(drive, lambda prev, d: rho * prev + d, initial=y0)))
+            y = np.moveaxis(y, 0, -1)
         # n+1 states: y[..., burn-1] is the pre-observation state
         return obs(y[..., burn:]), y[..., burn - 1:]
 

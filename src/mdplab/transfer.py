@@ -298,13 +298,20 @@ class CircleFourierKernel(Kernel):
         c0 = coeffs.get(0)
         if c0 is not None:
             out += complex(c0).real
+        term = np.empty_like(x)  # every mode's term is computed in this one buffer
+
+        def mode(trig, k, column):
+            if basis is not None:
+                return basis[k][column]
+            return trig(np.multiply(2.0 * np.pi * k, x, out=term), out=term)
+
         for k in sorted({abs(int(k)) for k in coeffs} - {0}):
             cp, cm = complex(coeffs.get(k, 0.0)), complex(coeffs.get(-k, 0.0))
             re, im = cp.real + cm.real, cp.imag - cm.imag
             if re != 0.0:
-                out += re * (np.cos(2.0 * np.pi * k * x) if basis is None else basis[k][0])
+                out += np.multiply(re, mode(np.cos, k, 0), out=term)
             if im != 0.0:
-                out -= im * (np.sin(2.0 * np.pi * k * x) if basis is None else basis[k][1])
+                out -= np.multiply(im, mode(np.sin, k, 1), out=term)
         return out
 
     def _mode_basis(self, x: np.ndarray) -> dict:

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mdplab
 from mdplab.cli import main
 
 
@@ -16,6 +19,19 @@ def test_print_schema(capsys):
     assert main(["print-schema"]) == 0
     schema = json.loads(capsys.readouterr().out)
     assert "task" in schema and "params" in schema
+
+
+def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
+    # scipy.stats costs about 0.7 s of import; scipy.signal imports it
+    code = ("import sys, mdplab.cli; "
+            "loaded = [m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules]; "
+            "sys.exit(str(loaded) if loaded else 0)")
+    src = os.path.dirname(os.path.dirname(mdplab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_simulate_task_writes_csv_and_manifest(tmp_path):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from mdplab.conditions import (
+    _spearman_rho,
     check_bis,
     check_class_L,
     check_kac,
@@ -121,6 +123,30 @@ def test_s2inf_decreases_for_iid():
     model = make_iid(IIDSpec())
     devs, ok = check_s2inf(model, 1.0, [16, 64, 256])
     assert ok
+
+
+def test_spearman_rho_matches_scipy_stats_with_ties():
+    rng = np.random.default_rng(3)
+    for trial in range(400):
+        n = int(rng.integers(3, 30))
+        x = rng.random(n) if trial % 2 else rng.integers(0, 5, n).astype(float)
+        y = rng.random(n) if trial % 3 else rng.integers(0, 3, n).astype(float)
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue
+        want = stats.spearmanr(x, y)[0]
+        got = _spearman_rho(x, y)
+        assert got == pytest.approx(want, abs=1e-14)
+        if abs(want) > 1e-12:
+            assert np.sign(got) == np.sign(want)
+
+
+def test_spearman_rho_exact_cases():
+    assert _spearman_rho([1, 2, 3, 4], [8.0, 6.0, 6.0, 1.0]) < 0
+    assert _spearman_rho([1, 2, 3], [1.0, 2.0, 3.0]) == 1.0
+    # tied ranks that cancel give an exact zero, not rounding dust of either sign
+    assert _spearman_rho([1, 2, 3], [1.0, 0.0, 1.0]) == 0.0
+    # a constant input has no rank correlation, as in scipy.stats.spearmanr
+    assert np.isnan(_spearman_rho([1, 2, 3], [2.0, 2.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mdplab import diophantine
 from mdplab.diophantine import (
     Convergent,
     IrrationalSpec,
@@ -138,3 +140,112 @@ def test_interval_encloses_value():
     assert lo < hi
     assert float(hi - lo) < 1e-39
     assert lo > g and hi < Fraction(2, 3)
+
+
+def reference_dist_array(a, K):
+    """The per-k big-integer loop the limb kernel replaced, kept as its oracle."""
+    S = 10**40
+    A = a.scaled_int()
+    out = np.empty(K)
+    m = 0
+    for k in range(1, K + 1):
+        m = (m + A) % S
+        out[k - 1] = min(m, S - m)
+    return out / S
+
+
+KERNEL_SPECS = {
+    "golden": golden_spec(),
+    "sqrt2m1": sqrt2m1_spec(),
+    "negative": IrrationalSpec(kind="quadratic", P=-3, D=2),  # sqrt(2) - 3 < 0
+    "above_one": IrrationalSpec(kind="quadratic", P=0, D=7919),  # sqrt(7919) = 88.99..
+    "surd_over_5": IrrationalSpec(kind="quadratic", P=3, D=7919, Q=5),
+    "liouville": liouville_literal(),
+    # rational: k*A = 0 mod 10^40 at every k divisible by 4, so d = 0.0 there
+    "quarter": IrrationalSpec(kind="literal", literal="0.25", radius=1e-50),
+    # 4A = 10^40 + 40: limb sums overshoot 10^40 by less than the top limb's
+    # unit, so only the borrow chain's sign tells that 10^40 must come off
+    "quarter_plus": IrrationalSpec(kind="literal", literal="0.25" + "0" * 36 + "1",
+                                   radius=1e-50),
+    # A = 10^40/2 - 6e26: k = 1 sits below the fold point by less than the top
+    # limb's unit, and folding it the wrong way moves d by about 2^11 ulps
+    "below_half": IrrationalSpec(kind="literal", literal="0.49999999999994",
+                                 radius=1e-50),
+}
+
+
+def _boundary_Ks():
+    """K = 0..3, K +/-1 around 1024 (where the table width sqrt(K) grows), and
+    K whose last k sits just before, on or just after the end of a kernel pass."""
+    Ks = {0, 1, 2, 3, 1023, 1024, 1025}
+    chunk = diophantine._KERNEL_CHUNK
+    for K in range(chunk - 300, 4 * chunk + 300):
+        width, _, rows_per_pass = diophantine._kernel_layout(K)
+        if (K + 1) % (width * rows_per_pass) in (0, 1, width * rows_per_pass - 1):
+            Ks.add(K)
+    return sorted(Ks)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_dist_array_kernel_equals_reference_loop(name):
+    a = KERNEL_SPECS[name]
+    for K in _boundary_Ks():
+        got, want = dist_to_integers_array(a, K), reference_dist_array(a, K)
+        assert got.shape == want.shape == (K,)
+        assert np.array_equal(got, want), (name, K)
+
+
+@pytest.mark.parametrize("name", ["golden", "negative", "liouville"])
+def test_dist_array_kernel_equals_reference_loop_at_1e5(name):
+    a = KERNEL_SPECS[name]
+    assert np.array_equal(dist_to_integers_array(a, 10**5), reference_dist_array(a, 10**5))
+
+
+def test_dist_array_rational_literal_hits_zero():
+    d = dist_to_integers_array(KERNEL_SPECS["quarter"], 12)
+    assert d[3::4].tolist() == [0.0, 0.0, 0.0]
+    assert d[:3].tolist() == [0.25, 0.5, 0.25]
+
+
+def test_limbs_to_float_rounds_like_python_float():
+    # halfway and just-off-halfway mantissas at every shift, across the limb
+    # boundaries, plus all-ones runs that carry into the next power of two
+    values = [0, 1, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63, 2**135 - 1]
+    for shift in range(0, 135 - 54):
+        for m in (2**53 + 1, 2**53 + 3, 2**54 - 1):
+            base = m << shift
+            values += [v for v in (base - 1, base, base + 1) if v < 2**135]
+    # halfway above 2^108 plus one bit that only the middle limb holds: the
+    # low limb is zero, so the middle limb's cut-off bits must reach the sticky bit
+    for j in range(45, 90):
+        half = (2**53 + 1) << 70
+        values += [half + (1 << j), half - (1 << j)]
+    rng = np.random.default_rng(7)
+    values += [int(v) for v in rng.integers(0, 2**62, 2000)]
+    values += [int.from_bytes(rng.bytes(17), "little") >> int(rng.integers(1, 135))
+               for _ in range(4000)]
+    got = diophantine._limbs_to_float(diophantine._limbs(values))
+    assert got.tolist() == [float(v) for v in values]
+
+
+def test_dist_array_transient_memory_is_bounded():
+    K = 10**6
+    dist_to_integers_array(golden_spec(), 1000)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        dist_to_integers_array(golden_spec(), K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * K + 16 * 2**20
+
+
+def test_dist_array_rejects_negative_K():
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        dist_to_integers_array(golden_spec(), -1)
+    assert dist_to_integers_array(golden_spec(), 0).shape == (0,)
+
+
+def test_audit_rejects_empty_range():
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        badly_approximable_audit(golden_spec(), 0.1, 0)

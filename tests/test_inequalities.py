@@ -77,6 +77,17 @@ def test_clopper_pearson_matches_beta_quantile():
     assert clopper_pearson_upper(50, 50) == 1.0
 
 
+def test_clopper_pearson_equals_scipy_stats_on_a_grid():
+    # the library reads the quantile off scipy.special; it must equal the
+    # scipy.stats distribution's ppf to the bit
+    for n in list(range(1, 60)) + [1000, 4096, 100_000, 10**6]:
+        ks = range(n) if n < 60 else sorted({*range(40), *range(0, n, n // 97), n - 1})
+        for confidence in (0.5, 0.95, 0.99):
+            for k in ks:
+                want = float(stats.beta.ppf(confidence, k + 1, n - k))
+                assert clopper_pearson_upper(k, n, confidence) == want, (k, n, confidence)
+
+
 def test_verify_domination_iid_azuma():
     model = make_iid(IIDSpec())
     n = 64

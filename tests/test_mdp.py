@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from mdplab.core import RngStream, SpeedSequence
 from mdplab.mdp import (
@@ -165,6 +165,21 @@ def test_naive_method_refuses_hopeless_threshold():
         empirical_mdp_point(model, 4096, 4096 ** (-1 / 3), 2.0, method="naive",
                             replicas=2000, stream=STREAM.named("naive"),
                             sigma2=1.0)
+
+
+def test_naive_preflight_normal_tail_equals_scipy_stats():
+    # the refusal names ceil(20 / P(Z >= z)); with one replica that is the
+    # pre-flight's normal tail itself, which must be scipy.stats' to the bit
+    model = make_iid(IIDSpec())
+    for x in np.linspace(0.05, 3.0, 60):
+        n, s2 = 512, 1.3
+        z = x * math.sqrt(n) / math.sqrt(s2 * n)  # a_n = 1
+        want = math.ceil(20 / float(stats.norm.sf(z)))
+        with pytest.raises(ValueError, match=rf"raise replicas to ~{want} "):
+            empirical_mdp_point(model, n, 1.0, float(x), method="naive", replicas=1,
+                                stream=STREAM.named("preflight"), sigma2=s2)
+    z = np.linspace(-10.0, 40.0, 100_001)
+    assert np.array_equal(special.ndtr(-z), stats.norm.sf(z))
 
 
 def test_naive_method_on_reachable_threshold():

@@ -1,4 +1,5 @@
 import sys
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -264,3 +265,19 @@ def test_gauss_blocks_deterministic_under_the_chunk_pool(chunk_workers, workers)
         sys.setswitchinterval(switch)
     assert mpmath.mp.prec == prec
     assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+
+
+@pytest.mark.parametrize("n", [1, 7, 2**16])
+def test_iterated_path_equals_the_numpy_scalar_recurrence(n):
+    # the single path runs the recurrence on Python floats; it must give the
+    # bits of the row-vector formula on numpy scalars, from the same draws
+    model = BUILDS["iterated"]()
+    rho, burn, obs = model.meta["rho"], model.meta["burn_in"], model.meta["observable"]
+    path = model.sample(n, STREAM.named("iterated-1d", n))
+    rng = STREAM.named("iterated-1d", n).generator()
+    eps = rng.random(n + burn)
+    y0 = rng.random()
+    drive = (1.0 - rho) * eps[1:]
+    y = np.array(list(accumulate(drive, lambda prev, d: rho * prev + d, initial=y0)))
+    assert np.array_equal(path.values, obs(y[burn:]))
+    assert np.array_equal(path.states, y[burn - 1:])

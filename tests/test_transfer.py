@@ -219,6 +219,35 @@ def test_circle_eval_coeffs_matches_complex_sum():
 
 
 
+def _eval_coeffs_with_temporaries(coeffs, x, basis=None):
+    # the expression eval_coeffs evaluated before it used one scratch buffer
+    out = np.zeros_like(x)
+    if 0 in coeffs:
+        out += complex(coeffs[0]).real
+    for k in sorted({abs(int(k)) for k in coeffs} - {0}):
+        cp, cm = complex(coeffs.get(k, 0.0)), complex(coeffs.get(-k, 0.0))
+        re, im = cp.real + cm.real, cp.imag - cm.imag
+        if re != 0.0:
+            out += re * (np.cos(2.0 * np.pi * k * x) if basis is None else basis[k][0])
+        if im != 0.0:
+            out -= im * (np.sin(2.0 * np.pi * k * x) if basis is None else basis[k][1])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1001,), (7, 300)])
+def test_circle_eval_coeffs_scratch_buffer_is_bit_identical(shape):
+    x = np.random.default_rng(5).uniform(-0.5, 1.5, shape)
+    coeffs = {0: 0.25, 1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1 + 0.4j,
+              3: -0.1j, -3: 0.1j, 7: 0.05 - 0.01j}
+    # the basis is built once per mode, as sup_norm_powers builds it
+    modes = CircleFourierKernel(GOLDEN, {k: 1.0 for k in (-7, -3, -2, -1, 1, 2, 3, 7)})
+    basis = modes._mode_basis(x)
+    assert np.array_equal(CircleFourierKernel.eval_coeffs(coeffs, x),
+                          _eval_coeffs_with_temporaries(coeffs, x))
+    assert np.array_equal(CircleFourierKernel.eval_coeffs(coeffs, x, basis),
+                          _eval_coeffs_with_temporaries(coeffs, x, basis))
+
+
 def test_circle_sup_norms_bit_identical_to_per_n_evaluation():
     # the mode basis is computed once per mode; each n must still give the
     # bits of a fresh eval_coeffs call on that n's coefficients
