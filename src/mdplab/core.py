@@ -5,8 +5,9 @@ an independent counter-derived stream, so parallel replicas never share state
 and reruns are byte-identical.
 
 Replica chunks run concurrently through `map_chunks`: the Monte Carlo loops of
-`inequalities.verify_domination`, the naive branch of
-`mdp.empirical_mdp_point` and `mdp.tilted_is_estimator`. It uses one
+`inequalities.sample_maxima`, the naive branch of
+`mdp.empirical_mdp_point` and `mdp.tilted_is_estimator`, and the row blocks
+of `variance.sigma2_covariance_series`. It uses one
 process-wide thread pool of min(4, CPUs this process may run on) threads,
 and never more threads than chunks. The bytes do not depend on that count:
 chunk ci draws only from its own generator `stream.child(ci)`, and every
@@ -144,7 +145,7 @@ class ProcessModel:
         values = np.asarray(values, dtype=float)
         if values.shape != shape:
             raise RuntimeError(f"sampler returned shape {values.shape}, expected {shape}")
-        amax = float(np.max(np.abs(values)))
+        amax = float(np.maximum(np.max(values), -np.min(values)))  # no |values| copy
         if amax > self.bound * (1 + 1e-12):
             raise RuntimeError(
                 f"model {self.name}: sampled value {amax} exceeds bound {self.bound}"

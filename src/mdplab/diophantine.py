@@ -332,10 +332,16 @@ def badly_approximable_audit(a: IrrationalSpec, eps: float, K: int):
     return [int(h) for h in hits]
 
 
-def _fhat_values(fhat, ks: np.ndarray) -> np.ndarray:
+def _fhat_values(fhat, K: int) -> np.ndarray:
+    """|fhat(k)| for k = 1..K; a dict's integer keys in that range are
+    scattered into zeros, so the cost does not grow with K per key."""
     if isinstance(fhat, dict):
-        return np.array([abs(complex(fhat.get(int(k), 0.0))) for k in ks])
-    return np.array([abs(fhat(int(k))) for k in ks])
+        out = np.zeros(K)
+        for k, c in fhat.items():
+            if k == int(k) and 1 <= k <= K:
+                out[int(k) - 1] = abs(complex(c))
+        return out
+    return np.array([abs(fhat(k)) for k in range(1, K + 1)])
 
 
 def paroux_sum(fhat, a: IrrationalSpec, K: int):
@@ -343,8 +349,7 @@ def paroux_sum(fhat, a: IrrationalSpec, K: int):
     with dyadic-block subtotals (blocks 2^N <= k < 2^(N+1)); the distances
     come from `dist_to_integers_array`'s exact kernel."""
     d = dist_to_integers_array(a, K)
-    ks = np.arange(1, K + 1)
-    c = _fhat_values(fhat, ks)
+    c = _fhat_values(fhat, K)
     terms = 2.0 * c**2 / d**2  # +k and -k contribute equally
     partial = np.cumsum(terms)
     n_blocks = int(math.floor(math.log2(K))) if K >= 1 else 0
@@ -360,7 +365,7 @@ def bis_series_circle(fhat, a: IrrationalSpec, N_max: int,
     majorant K_const * sum |fhat(k)| pi^(-1/2) / d(2ka, Z). The report's extra
     carries both sides per truncation and the domination flags."""
     ks = np.arange(1, k_support + 1)
-    c = _fhat_values(fhat, ks)
+    c = _fhat_values(fhat, k_support)
     live = c > 0
     ks, c = ks[live], c[live]
     if ks.size == 0:

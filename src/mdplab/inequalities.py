@@ -26,7 +26,10 @@ __all__ = [
     "projection_bound",
     "blocking_bound_first_term",
     "clopper_pearson_upper",
+    "sample_maxima",
+    "grade_domination",
     "verify_domination",
+    "rademacher_max_tail",
 ]
 
 
@@ -143,10 +146,9 @@ def _bound_evaluator(model: ProcessModel, bound_spec: dict, n: int) -> Callable[
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
-def verify_domination(model: ProcessModel, bound_spec: dict,
-                      thresholds: Sequence[float], replicas: int, n: int,
-                      stream: RngStream, chunk: int = 1024):
-    """Empirical P(max_k |S_k| >= t) vs analytic bound, per threshold.
+def sample_maxima(model: ProcessModel, replicas: int, n: int, stream: RngStream,
+                  chunk: int = 1024) -> np.ndarray:
+    """max_{k<=n} |S_k| of `replicas` independent paths of the model.
 
     Chunked sampling: chunk ci is one (chunk, n) block drawn from the derived
     generator stream.child(ci), so the run is deterministic in (master seed,
@@ -155,8 +157,6 @@ def verify_domination(model: ProcessModel, bound_spec: dict,
     """
     if replicas < 1000:
         raise ValueError("need at least 10^3 replicas for a meaningful verdict")
-    evaluator = _bound_evaluator(model, bound_spec, n)
-    thresholds = sorted(float(t) for t in thresholds)
 
     def chunk_maxima(ci):
         take = min(chunk, replicas - ci * chunk)
@@ -165,15 +165,55 @@ def verify_domination(model: ProcessModel, bound_spec: dict,
         np.abs(block, out=block)
         return np.max(block, axis=1)
 
-    maxima = np.concatenate(map_chunks(chunk_maxima, -(-replicas // chunk)))
+    return np.concatenate(map_chunks(chunk_maxima, -(-replicas // chunk)))
+
+
+def grade_domination(model: ProcessModel, bound_spec: dict,
+                     thresholds: Sequence[float], maxima: np.ndarray, n: int):
+    """Empirical P(max_k |S_k| >= t) of sampled maxima vs the analytic bound,
+    one Clopper-Pearson verdict per threshold, in ascending threshold order."""
+    evaluator = _bound_evaluator(model, bound_spec, n)
+    replicas = int(maxima.size)
     reports = []
-    for t in thresholds:
+    for t in sorted(float(t) for t in thresholds):
         k = int(np.sum(maxima >= t))
-        p_hat = k / replicas
         upper = clopper_pearson_upper(k, replicas)
         b = evaluator(t)
-        verdict = "dominated" if upper <= b else "violated"
-        reports.append(TailBoundReport(threshold=t, bound=b, p_hat=p_hat,
+        reports.append(TailBoundReport(threshold=t, bound=b, p_hat=k / replicas,
                                        replicas=replicas, ci_upper=upper,
-                                       verdict=verdict))
+                                       verdict="dominated" if upper <= b else "violated"))
     return reports
+
+
+def verify_domination(model: ProcessModel, bound_spec: dict,
+                      thresholds: Sequence[float], replicas: int, n: int,
+                      stream: RngStream, chunk: int = 1024):
+    """Empirical P(max_k |S_k| >= t) vs analytic bound, per threshold:
+    `sample_maxima`, then `grade_domination`. A spec the model cannot
+    satisfy is refused before any sampling."""
+    _bound_evaluator(model, bound_spec, n)
+    maxima = sample_maxima(model, replicas, n, stream, chunk)
+    return grade_domination(model, bound_spec, thresholds, maxima, n)
+
+
+def rademacher_max_tail(n: int, t: float) -> float:
+    """P(max_{k<=n} |S_k| >= t) for S_k a sum of k fair signs, exactly.
+
+    Absorbing-band recursion on exact integer path counts: the walk lives on
+    |s| < ceil(t) and a path is absorbed when it first reaches +-ceil(t). The
+    count of surviving paths over 2^n is rounded once to a float.
+    """
+    if n < 1 or t < 0:
+        raise ValueError("require n >= 1, t >= 0")
+    band = math.ceil(t)
+    if band == 0:
+        return 1.0
+    # counts[s + band - 1] = number of unabsorbed paths at position s
+    counts = np.zeros(2 * band - 1, dtype=object)
+    counts[band - 1] = 1
+    for _ in range(n):
+        step = np.zeros_like(counts)
+        step[1:] += counts[:-1]
+        step[:-1] += counts[1:]
+        counts = step
+    return ((1 << n) - int(counts.sum())) / (1 << n)

@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import mpmath
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .transfer import ChebyshevKernel, CircleFourierKernel, FiniteStateKernel
 from .core import ProcessModel
@@ -339,18 +339,65 @@ def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
                         meta={"rho": rho, "burn_in": burn, "observable": obs})
 
 
+def _digit_depth(beta: int) -> int:
+    """Digits per window: beta^-depth <= 2^-53, with beta^depth < 2^63 so
+    that a window is one int64."""
+    depth = max(2, int(math.ceil(53 / math.log2(beta))))
+    if beta**depth >= 1 << 63:
+        raise ValueError(f"beta = {beta}: a window of {depth} base-beta digits "
+                         "does not fit in 63 bits")
+    return depth
+
+
+def _digit_windows(digits: np.ndarray, beta: int, depth: int) -> np.ndarray:
+    """X_k = sum_{j<depth} d_(k+j) beta^(depth-1-j) for every full window of
+    the last axis, in int64, by doubling the window width: O(log depth) passes."""
+    window, width = digits, 1
+    for bit in bin(depth)[3:]:
+        # width w -> 2w: X_2w(k) = X_w(k) beta^w + X_w(k + w)
+        window = window[..., :-width] * np.int64(beta**width) + window[..., width:]
+        width *= 2
+        if bit == "1":
+            # width w -> w + 1: one more digit on the right
+            window = window[..., :-1] * beta + digits[..., width:]
+            width += 1
+    return window
+
+
+_DIGIT_CHUNK = 1 << 16  # about this many orbit values per pass of _digit_shift_orbit
+
+
 def _digit_shift_orbit(n: int, beta: int, rng: np.random.Generator,
                        reps: Optional[int] = None) -> np.ndarray:
     """Orbits of x -> beta*x mod 1 under the invariant (Lebesgue) measure, exact.
 
-    x_k is read off a sliding window of iid base-beta digits, so the shift
-    relation holds to the last retained digit instead of collapsing to 0.
+    x_k is read off a window of `depth` iid base-beta digits, so the shift
+    relation holds to the last retained digit instead of collapsing to 0:
+    x_k = X_k beta^-depth with X_k the window as an integer. That is exact for
+    beta = 2 and within about one ulp of the rational otherwise.
     """
-    depth = max(2, int(math.ceil(53 / math.log2(beta))))
-    digits = rng.integers(0, beta, _shape(reps, n + depth)).astype(float)
-    windows = sliding_window_view(digits, depth, axis=-1)[..., :n, :]
-    weights = beta ** (-np.arange(1, depth + 1, dtype=float))
-    return windows @ weights
+    depth = _digit_depth(beta)
+    digits = rng.integers(0, beta, _shape(reps, n + depth))
+    # beta^-depth = hi + lo, lo the rounding error of hi; X = high + low with
+    # low its last 11 bits, so high and low are exact as floats: one rounding
+    # in high * hi, one in the final sum
+    hi = 1.0 / beta**depth
+    lo = float(Fraction(1, beta**depth) - Fraction(hi))
+    # x_k overwrites d_k in place: a pass reads only digits at or right of
+    # its own first column, and passes run left to right
+    grid = digits.reshape(-1, n + depth)
+    x = grid.view(np.float64)[:, :n]
+    height = max(1, _DIGIT_CHUNK // n)
+    for r in range(0, grid.shape[0], height):
+        for s in range(0, n, _DIGIT_CHUNK):
+            e = min(s + _DIGIT_CHUNK, n)
+            window = _digit_windows(grid[r:r + height, s:e + depth - 1], beta, depth)
+            out = x[r:r + height, s:e]
+            np.multiply(window & 2047, hi, out=out)
+            out += window * lo
+            window &= ~2047
+            out += window * hi
+    return x[0] if reps is None else x
 
 
 def _gauss_orbit(n: int, rng: np.random.Generator,
@@ -370,10 +417,17 @@ def _gauss_orbit(n: int, rng: np.random.Generator,
     return out
 
 
+def _cos_2pi(x):
+    """cos(2 pi x), evaluated in the buffer that holds 2 pi x."""
+    y = np.asarray(2 * np.pi * x)
+    return np.cos(y, out=y)
+
+
 def make_expanding_map(spec: ExpandingMapSpec) -> ProcessModel:
-    f = spec.observable if spec.observable is not None else (lambda x: np.cos(2 * np.pi * x))
+    f = spec.observable if spec.observable is not None else _cos_2pi
     if spec.map in ("doubling", "beta"):
         beta = 2 if spec.map == "doubling" else int(spec.beta)
+        _digit_depth(beta)  # refuses a beta whose digit windows overflow int64
         kernel = ChebyshevKernel.integer_beta(beta)
         draw_orbit = lambda n, rng, reps: _digit_shift_orbit(n, beta, rng, reps)
         name = f"expanding_beta{beta}"
@@ -396,24 +450,76 @@ def make_expanding_map(spec: ExpandingMapSpec) -> ProcessModel:
                         kernel=kernel, meta={"mean": mean, "observable": f})
 
 
+def _exact_rotation(a: float):
+    """Exact integer arithmetic mod 1 in units of 2^-D for a walk of step a.
+
+    The float a is M 2^-E with M an integer, so frac(a j) = (M j mod 2^E) 2^-E;
+    D = max(E, 53) also holds a uniform draw xi0 = X 2^-53 exactly. Returns
+    (D, j -> frac(a j) 2^D, xi0 -> xi0 2^D). The integers are wrapping uint64
+    when D <= 64, Python integers in object arrays otherwise (|a| below 2^-12
+    with a full mantissa).
+    """
+    num, den = float(a).as_integer_ratio()
+    d = max(den.bit_length() - 1, 53)
+    a_d = num * ((1 << d) // den)  # a 2^D, an integer
+    mask = (1 << d) - 1
+    if d <= 64:
+        # two's complement: j mod 2^64, so the product wraps to a j 2^D mod 2^64
+        return (d, lambda j: (j.view(np.uint64) * np.uint64(a_d & mask)) & mask,
+                lambda xi0: (xi0 * 2.0**d).astype(np.uint64))
+    return (d, lambda j: (j.astype(object) * a_d) & mask,
+            lambda xi0: np.array([int(x) for x in xi0 * 2.0**d], dtype=object))
+
+
 def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
     kernel = CircleFourierKernel(spec.a, spec.coeffs)
     f0 = kernel.coeffs.get(0, 0.0).real if 0 in kernel.coeffs else 0.0
     centered = kernel.centered_coeffs()
     bound = float(sum(abs(c) for c in centered.values()))
+    # Re sum_k c_k e(k x) as sum_{k > 0} Re((c_k + conj c_-k) e(k x))
+    modes = [(2j * np.pi * k, complex(centered.get(k, 0.0))
+              + complex(centered.get(-k, 0.0)).conjugate())
+             for k in sorted({abs(k) for k in centered})]
+    d, fractions, scaled = _exact_rotation(spec.a)
+    mask = (1 << d) - 1
 
     def sampler(n, rng, reps=None):
-        xi0 = np.asarray(rng.random(reps))[..., None]
+        rows = 1 if reps is None else reps
+        xi0 = rng.random(rows)
+        # the walk's integer position m_k = sum of k signs, exact
+        walk = rng.integers(0, 2, (rows, n))
+        walk *= 2
+        walk -= 1
+        walk.cumsum(axis=1, out=walk)
+        lo = int(walk.min())
+        walk -= lo  # index into the visited range lo..max
+        frac = fractions(np.arange(lo, lo + int(walk.max()) + 1))
+        # xi_k = frac(xi0 + a m_k) in exact integers mod 2^D, rounded once;
         # n+1 states: xi0 first, so conditioning on the pre-walk position works
-        states = np.empty(_shape(reps, n + 1))
-        states[..., :1] = xi0
-        xi = states[..., 1:]
-        # steps -> cumsum -> + xi0 -> mod 1, each written in place into xi
-        np.multiply(rng.integers(0, 2, _shape(reps, n)) * 2 - 1, spec.a, out=xi)
-        np.cumsum(xi, axis=-1, out=xi)
-        np.add(xi0, xi, out=xi)
-        np.mod(xi, 1.0, out=xi)
-        return CircleFourierKernel.eval_coeffs(centered, xi), states
+        states = np.empty((rows, n + 1))
+        states[:, 0] = xi0
+        pos = frac.take(walk)
+        pos += scaled(xi0)[:, None]
+        pos &= mask
+        states[:, 1:] = pos
+        del pos
+        states[:, 1:] *= 2.0**-d
+        # values: f at frac(xi0 + a j) for every row and visited j, as
+        # Re sum_k c_k e(k xi0) e(k frac(a j)), then one gather per value:
+        # no cos and no mod per value
+        t = np.multiply(frac, 2.0**-d, dtype=float, casting="unsafe")
+        table = np.zeros((rows, t.size))
+        for w, c in modes:
+            z, turn = c * np.exp(w * xi0), np.exp(w * t)
+            table += np.multiply.outer(z.real, turn.real)
+            table -= np.multiply.outer(z.imag, turn.imag)
+        walk += np.arange(0, table.size, t.size)[:, None]  # row r reads table[r]
+        # each value overwrites its own index (take reads index i before it
+        # writes item i; mode="clip" takes no defensive copy)
+        values = table.ravel().take(walk, out=walk.view(np.float64), mode="clip")
+        if reps is None:
+            return values[0], states[0]
+        return values, states
 
     return ProcessModel(name="circle_walk", bound=bound * (1 + 1e-9), sampler=sampler,
                         kernel=kernel, meta={"a": spec.a, "coeffs": dict(centered),

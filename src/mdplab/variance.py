@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import map_chunks
+
 __all__ = [
     "SigmaEstimate",
     "sigma2_covariance_series",
@@ -22,7 +24,7 @@ __all__ = [
     "sigma2_circle_fourier",
 ]
 
-COV_BLOCK_ROWS = 64  # rows per pass of sigma2_covariance_series
+COV_BLOCK_VALUES = 1 << 16  # values per row block of sigma2_covariance_series
 
 
 @dataclass
@@ -69,23 +71,32 @@ def sigma2_covariance_series(paths, k_max: int) -> SigmaEstimate:
         if seg.shape[1] <= k_max:
             raise ValueError("path too short to segment for jackknife at this k_max")
         rows = seg
+        # one block: its path-sized buffers go back to the system when freed,
+        # while cache-sized pieces of a long path stay on the allocator's heap
+        # (+6 MiB peak RSS over 2^20-value paths)
+        height = n_seg
+    else:
+        height = max(1, COV_BLOCK_VALUES // rows.shape[1])  # cache-sized blocks
 
     # per-row statistics (grand-mean centered) make the leave-one-out
     # estimates linear, so the jackknife costs O(replicas) after one sweep
     mean = np.mean(rows)
     r, n = rows.shape
     per_row = np.empty(r)
-    # a cache-sized block of rows at a time; every lag product goes into one
-    # reused buffer, each row still summed over its own n - k products
-    buf = np.empty((min(r, COV_BLOCK_ROWS), n))
-    for lo in range(0, r, COV_BLOCK_ROWS):
-        x = rows[lo:lo + COV_BLOCK_ROWS] - mean
-        b = x.shape[0]
-        acc = np.sum(np.multiply(x, x, out=buf[:b]), axis=1) / n
+
+    def block(bi):
+        # every lag product goes into the block's own buffer, each row still
+        # summed over its own n - k products
+        lo = bi * height
+        x = rows[lo:lo + height] - mean
+        buf = np.empty_like(x)
+        acc = np.sum(np.multiply(x, x, out=buf), axis=1) / n
         for k in range(1, k_max + 1):
-            lag = np.multiply(x[:, :-k], x[:, k:], out=buf[:b, k:])
+            lag = np.multiply(x[:, :-k], x[:, k:], out=buf[:, k:])
             acc = acc + 2.0 * np.sum(lag, axis=1) / n
-        per_row[lo:lo + b] = acc
+        per_row[lo:lo + x.shape[0]] = acc
+
+    map_chunks(block, -(-r // height))
     full = float(np.mean(per_row))
     loo = (np.sum(per_row) - per_row) / (r - 1)
     se = float(np.sqrt((r - 1) / r * np.sum((loo - np.mean(loo)) ** 2)))

@@ -120,6 +120,22 @@ def test_paroux_partial_sums_and_blocks():
     assert np.sum(blocks) == pytest.approx(partial[-1], rel=1e-12)
 
 
+@pytest.mark.parametrize("fhat", [
+    {1: 0.5, -1: 0.5},
+    {0: 1.0, 3: 0.25 - 0.5j, -3: 0.25 + 0.5j, 7.0: 2.0, 2.5: 9.0, 5000: 1.0, np.int64(12): -0.1},
+    lambda k: 1.0 / (1 + k * k),
+])
+def test_fhat_values_equal_the_per_k_loop(fhat):
+    K = 1000
+    got = diophantine._fhat_values(fhat, K)
+    # reference: one lookup per k = 1..K
+    if isinstance(fhat, dict):
+        want = np.array([abs(complex(fhat.get(int(k), 0.0))) for k in np.arange(1, K + 1)])
+    else:
+        want = np.array([abs(fhat(int(k))) for k in np.arange(1, K + 1)])
+    assert np.array_equal(got, want)
+
+
 def test_bis_series_circle_dominated():
     diag = bis_series_circle({1: 0.5}, golden_spec(), 400)
     assert diag.verdict == "converging"

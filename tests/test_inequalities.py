@@ -9,8 +9,11 @@ from mdplab.inequalities import (
     azuma_bound,
     blocking_bound_first_term,
     clopper_pearson_upper,
+    grade_domination,
     projection_bound,
     puw_bound,
+    rademacher_max_tail,
+    sample_maxima,
     verify_domination,
 )
 from mdplab.processes import (
@@ -190,3 +193,30 @@ def test_verify_domination_reraises_chunk_3_bound_error(chunk_workers, workers):
     with pytest.raises(RuntimeError, match="exceeds bound"):
         verify_domination(model, {"kind": "azuma"}, [10.0], replicas=2000, n=16,
                           stream=stream, chunk=256)
+
+
+def test_verify_domination_is_sample_then_grade():
+    model = make_iid(IIDSpec())
+    n, replicas, thresholds = 64, 2100, [16.0, 24.0, 20.0]
+    stream = STREAM.named("split")
+    whole = verify_domination(model, {"kind": "puw", "x_inf": 1.0}, thresholds,
+                              replicas, n, stream, chunk=512)
+    maxima = sample_maxima(model, replicas, n, stream, chunk=512)
+    split = grade_domination(model, {"kind": "puw", "x_inf": 1.0}, thresholds, maxima, n)
+    assert whole == split
+    assert [r.threshold for r in split] == sorted(thresholds)
+
+
+@pytest.mark.parametrize("t,p", [(32, 0.0914235), (40, 0.0248812), (48, 0.00536446),
+                                 (56, 0.000909468), (64, 0.000120416)])
+def test_rademacher_max_tail_at_n_256(t, p):
+    assert rademacher_max_tail(256, t) == pytest.approx(p, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 11, 16])
+def test_rademacher_max_tail_equals_enumeration(n):
+    # every one of the 2^n sign paths, max_k |S_k| counted exactly
+    signs = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * 2 - 1
+    maxima = np.max(np.abs(np.cumsum(signs, axis=1)), axis=1)
+    for t in [0, 0.5, 1, 1.5, 2, 3, n / 2, n, n + 1]:
+        assert rademacher_max_tail(n, t) == int(np.sum(maxima >= t)) / 2**n, t

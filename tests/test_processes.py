@@ -1,9 +1,13 @@
+import math
 import sys
+import tracemalloc
+from fractions import Fraction
 from itertools import accumulate
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
 from mdplab.core import RngStream, map_chunks
@@ -15,6 +19,7 @@ from mdplab.processes import (
     IIDSpec,
     IteratedFunctionSpec,
     LinearProcessSpec,
+    _digit_shift_orbit,
     age_chain_matrix,
     make_alternating_plus_iid,
     make_circle_walk,
@@ -228,21 +233,98 @@ def test_block_equals_sequential_draws(key):
     assert np.array_equal(block, rows)
 
 
+CIRCLE_STEPS = {
+    "golden": GOLDEN,
+    "negative": -GOLDEN,
+    "above_one": 1.0 + math.sqrt(2.0),
+    "uint64_edge": GOLDEN / 2**11,      # 64 fractional bits
+    "below_2^-12": GOLDEN / 2**13,      # beyond 64 bits: Python integers
+}
+MULTI_MODE = {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: -0.15j, -2: 0.15j, 3: 0.1, -3: 0.1}
+
 
 @pytest.mark.parametrize("reps", [None, 7])
-def test_circle_sampler_in_place_chain_matches_out_of_place(reps):
-    spec = CircleWalkSpec(a=GOLDEN)
-    model = make_circle_walk(spec)
-    n = 300
-    values, states = model.sampler(n, STREAM.named("circle-chain").generator(), reps)
-    # reference: the chain written out of place, from the same draws
-    rng = STREAM.named("circle-chain").generator()
-    shape = (n,) if reps is None else (reps, n)
-    xi0 = np.asarray(rng.random(reps))[..., None]
-    steps = (rng.integers(0, 2, shape) * 2 - 1) * spec.a
-    xi = np.mod(xi0 + np.cumsum(steps, axis=-1), 1.0)
-    assert np.array_equal(states, np.concatenate([xi0, xi], axis=-1))
-    assert np.array_equal(values, model.kernel.eval_coeffs(model.meta["coeffs"], xi))
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("step", sorted(CIRCLE_STEPS))
+def test_circle_states_are_the_correctly_rounded_exact_positions(step, n, reps):
+    a = CIRCLE_STEPS[step]
+    model = make_circle_walk(CircleWalkSpec(a=a, coeffs=MULTI_MODE))
+    stream = STREAM.named(f"circle-exact-{step}", n)
+    values, states = model.sampler(n, stream.generator(), reps)
+    # reference: the same draws, in the same order, walked in exact rationals
+    rng = stream.generator()
+    rows = 1 if reps is None else reps
+    xi0 = rng.random(rows)
+    walk = np.cumsum(rng.integers(0, 2, (rows, n)) * 2 - 1, axis=1)
+    want = np.array([[float(x)] + [float((Fraction(x) + Fraction(a) * int(m)) % 1) for m in row]
+                     for x, row in zip(xi0, walk)])
+    assert np.array_equal(np.atleast_2d(states), want)
+    # the values are the observable at those states, to rounding
+    tol = 16 * np.finfo(float).eps * sum(abs(c) for c in MULTI_MODE.values())
+    direct = model.kernel.eval_coeffs(model.meta["coeffs"], np.atleast_2d(states)[:, 1:])
+    assert np.max(np.abs(np.atleast_2d(values) - direct)) <= tol
+    if reps is None:
+        block = model.sample_block(n, 1, stream.generator())
+        assert np.array_equal(block[0], values)
+
+
+def _float_window_orbit(n, beta, rng, reps=None):
+    # reference: the depth-tap float dot product over a strided window view
+    depth = max(2, int(math.ceil(53 / math.log2(beta))))
+    shape = (n + depth,) if reps is None else (reps, n + depth)
+    digits = rng.integers(0, beta, shape).astype(float)
+    windows = sliding_window_view(digits, depth, axis=-1)[..., :n, :]
+    return windows @ (beta ** (-np.arange(1, depth + 1, dtype=float)))
+
+
+@pytest.mark.parametrize("n,reps", [(1, None), (300, None), (2**20, None),
+                                    (5, 3), (256, 1024)])
+def test_doubling_digit_windows_equal_the_float_window(n, reps):
+    # beta = 2: every partial sum is a multiple of 2^-53 below 1, so exact
+    stream = STREAM.named("digits-2", n)
+    got = _digit_shift_orbit(n, 2, stream.generator(), reps)
+    assert np.array_equal(got, _float_window_orbit(n, 2, stream.generator(), reps))
+
+
+@pytest.mark.parametrize("beta", [3, 5, 7, 10, 1000, 1448])
+def test_beta_digit_windows_within_two_ulp_of_the_exact_rational(beta):
+    n, reps = 200, 3
+    stream = STREAM.named("digits-beta", beta)
+    got = _digit_shift_orbit(n, beta, stream.generator(), reps)
+    depth = max(2, int(math.ceil(53 / math.log2(beta))))
+    digits = stream.generator().integers(0, beta, (reps, n + depth)).tolist()
+    for r in range(reps):
+        for k in range(n):
+            exact = Fraction(sum(d * beta ** (depth - 1 - j)
+                                 for j, d in enumerate(digits[r][k:k + depth])), beta**depth)
+            assert abs(Fraction(got[r, k]) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_digit_windows_transient_at_most_the_float_window():
+    n = 2**20
+    rng = lambda: STREAM.named("digits-peak").generator()
+    assert _traced_peak(lambda: _digit_shift_orbit(n, 2, rng())) <= \
+        _traced_peak(lambda: _float_window_orbit(n, 2, rng()))
+    # a checked 2^20-value path holds its values and its orbit, and at most
+    # 1 MiB besides (the float window took three path-sized arrays)
+    model = make_expanding_map(ExpandingMapSpec(map="doubling", mean=0.0))
+    model.sample(256, STREAM.named("digits-peak"))  # warm
+    assert _traced_peak(lambda: model.sample(n, STREAM.named("digits-peak"))) <= 2 * 8 * n + 2**20
+
+
+def test_beta_whose_digit_window_overflows_int64_is_refused():
+    # 1449^6 >= 2^63 while 1449^-5 > 2^-53
+    with pytest.raises(ValueError, match="63 bits"):
+        make_expanding_map(ExpandingMapSpec(map="beta", beta=1449, mean=0.0))
 
 
 @pytest.mark.parametrize("workers", [1, 4])

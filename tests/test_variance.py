@@ -114,3 +114,21 @@ def test_covariance_series_blocks_match_whole_array_loop(shape, k_max):
     loo = (np.sum(per_row) - per_row) / (r - 1)
     assert est.value == float(np.mean(per_row))
     assert est.se == float(np.sqrt((r - 1) / r * np.sum((loo - np.mean(loo)) ** 2)))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_covariance_series_row_blocks_on_the_pool_are_bit_identical(chunk_workers, workers):
+    chunk_workers(workers)
+    rows = np.random.default_rng(11).standard_normal((300, 400)) - 0.5  # two row blocks
+    k_max = 12
+    est = sigma2_covariance_series(rows, k_max)
+    # reference: the whole-array formula, one temporary per lag
+    x = rows - np.mean(rows)
+    n = x.shape[1]
+    per_row = np.sum(x * x, axis=1) / n
+    for k in range(1, k_max + 1):
+        per_row = per_row + 2.0 * np.sum(x[:, :-k] * x[:, k:], axis=1) / n
+    r = x.shape[0]
+    loo = (np.sum(per_row) - per_row) / (r - 1)
+    assert est.value == float(np.mean(per_row))
+    assert est.se == float(np.sqrt((r - 1) / r * np.sum((loo - np.mean(loo)) ** 2)))
