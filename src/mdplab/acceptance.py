@@ -101,8 +101,7 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
         pt = empirical_mdp_point(rad, n, a_n, 1.0, "exact_binomial")
         scan.add(rad.name, pt, sigma2=1.0)
         gaps[n] = pt.estimate - (-0.5)
-    with open(os.path.join(out_dir, "c1_endpoint.csv"), "w", newline="") as fh:
-        fh.write(scan.to_csv())
+    scan.to_csv(os.path.join(out_dir, "c1_endpoint.csv"))
     data["c1"] = {"gaps": gaps, "seconds": time.perf_counter() - t0}
 
     # 2. long-run variance, four routes --------------------------------------

@@ -1,18 +1,18 @@
 """Shared domain types: processes, paths, speed sequences, deterministic RNG.
 
-Samplers are pure functions of (seed, n): replica r of experiment e draws from
-an independent counter-derived stream, so parallel replicas never share state
+Samplers are pure functions of (seed, n): every draw comes from a
+counter-derived stream (`RngStream`), so parallel replicas never share state
 and reruns are byte-identical.
 
-Replica chunks run concurrently through `map_chunks`: the Monte Carlo loops of
-`inequalities.sample_maxima`, the naive branch of
-`mdp.empirical_mdp_point` and `mdp.tilted_is_estimator`, and the row blocks
-of `variance.sigma2_covariance_series`. It uses one
-process-wide thread pool of min(4, CPUs this process may run on) threads,
-and never more threads than chunks. The bytes do not depend on that count:
-chunk ci draws only from its own generator `stream.child(ci)`, and every
-caller reduces the chunk results in ascending ci. Everything else, including
-`ProcessModel.sample_batch`, stays serial.
+Every Monte Carlo loop over replicas goes through one seam, `map_replicas`:
+`ProcessModel.sample_batch`, `inequalities.sample_maxima`, the naive branch
+of `mdp.empirical_mdp_point`, `mdp.tilted_is_estimator` and the CLI's demo
+suite. Replica chunk ci draws one block from its own generator
+`stream.child(ci)`. The chunks, and the row blocks of
+`variance.sigma2_covariance_series`, run concurrently through `map_chunks` on
+one process-wide thread pool of min(4, CPUs this process may run on) threads,
+never more threads than chunks. The bytes do not depend on that count: every
+caller reduces the chunk results in ascending ci.
 """
 
 from __future__ import annotations
@@ -32,29 +32,33 @@ __all__ = [
     "Path",
     "SpeedSequence",
     "ProcessModel",
-    "stream_index_for",
     "partial_sums",
     "normalized_process",
     "max_abs_partial_sum",
-    "csv_cell",
     "write_csv",
     "chunk_workers",
     "map_chunks",
+    "map_replicas",
 ]
 
 
-def stream_index_for(experiment: str, replica: int) -> int:
-    """Stable 63-bit stream index for (experiment, replica)."""
-    h = hashlib.blake2b(f"{experiment}:{replica}".encode(), digest_size=8)
+def _derive(parent: int, tag: str, key: str) -> int:
+    """63-bit index of the substream `key` in domain `tag` of stream `parent`."""
+    h = hashlib.blake2b(f"{parent}:{tag}:{key}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big") >> 1
 
 
 @dataclass(frozen=True)
 class RngStream:
-    """A named substream of a master seed.
+    """A substream of a master seed.
 
-    Derivation is a pure function of (master_seed, stream_index); distinct
-    indices give statistically independent generators.
+    The generator is a pure function of (master_seed, stream_index); distinct
+    indices give statistically independent generators. Substreams follow one
+    rule: the new index is the blake2b hash of (this stream's index, a domain
+    tag, a key), so a substream depends on its whole ancestry.
+    `named(name, r)` uses the tag "named" and the key "name:r", `child(i)`
+    the tag "child" and the key "i", so children and named streams are
+    derived in separate domains.
     """
 
     master_seed: int
@@ -65,11 +69,11 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
     def child(self, index: int) -> "RngStream":
-        # children are substreams of this stream, not of the master directly
-        return RngStream(self.master_seed, stream_index_for(str(self.stream_index), index))
+        return RngStream(self.master_seed, _derive(self.stream_index, "child", str(index)))
 
-    def named(self, experiment: str, replica: int = 0) -> "RngStream":
-        return RngStream(self.master_seed, stream_index_for(experiment, replica))
+    def named(self, name: str, replica: int = 0) -> "RngStream":
+        return RngStream(self.master_seed,
+                         _derive(self.stream_index, "named", f"{name}:{replica}"))
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,9 @@ class SpeedSequence:
         if self.gamma is not None:
             return float(n) ** (-self.gamma)
         return float(self.explicit[n - 1])
+
+
+BATCH_CHUNK_VALUES = 2**16  # values per `sample_batch` chunk
 
 
 @dataclass
@@ -165,11 +172,17 @@ class ProcessModel:
         return self._checked(self.sampler(n, rng, reps), (reps, n))[0]
 
     def sample_batch(self, n: int, replicas: int, stream: RngStream) -> np.ndarray:
-        """(replicas, n) array of values; replica r uses substream r."""
-        rows = np.empty((replicas, n))
-        for r in range(replicas):
-            rows[r] = self.sample(n, stream.child(r)).values
-        return rows
+        """(replicas, n) array of values, drawn through `map_replicas` in
+        chunks of about 2^16 values, each written in place."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        out = np.empty((replicas, n))
+
+        def fill(rows, rng):
+            out[rows.start:rows.stop] = self.sample_block(n, len(rows), rng)
+
+        map_replicas(replicas, max(1, BATCH_CHUNK_VALUES // n), stream, fill)
+        return out
 
 
 MAX_CHUNK_WORKERS = 4
@@ -230,6 +243,25 @@ def map_chunks(fn: Callable[[int], Any], count: int) -> list:
             f.cancel()  # after a failure, drop the chunks not yet started
 
 
+def map_replicas(replicas: int, chunk: int, stream: RngStream,
+                 fn: Callable[[range, np.random.Generator], Any]) -> list:
+    """[fn(rows, rng)] per chunk of `chunk` replicas, in chunk order.
+
+    Chunk ci covers the replicas rows = range(ci * chunk, min((ci + 1) *
+    chunk, replicas)) and draws only from rng = stream.child(ci).generator(),
+    so its draws depend on (stream, chunk, ci) alone. The chunks run through
+    `map_chunks`.
+    """
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+
+    def run(ci):
+        start = ci * chunk
+        return fn(range(start, min(start + chunk, replicas)), stream.child(ci).generator())
+
+    return map_chunks(run, -(-replicas // chunk))
+
+
 def partial_sums(path: Path) -> np.ndarray:
     """S_1..S_n."""
     return np.cumsum(path.values)
@@ -251,7 +283,7 @@ def max_abs_partial_sum(path: Path) -> float:
     return float(np.max(np.abs(partial_sums(path))))
 
 
-def csv_cell(v) -> str:
+def _csv_cell(v) -> str:
     """One CSV field; floats, numpy ones included, as repr(float) so they round-trip."""
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -264,4 +296,4 @@ def write_csv(path: str, header, rows):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow([csv_cell(v) for v in row])
+            w.writerow([_csv_cell(v) for v in row])

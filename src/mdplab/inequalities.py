@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import betaincinv
 
-from .core import ProcessModel, RngStream, map_chunks
+from .core import ProcessModel, RngStream, map_replicas
 
 __all__ = [
     "BOUND_KINDS",
@@ -40,21 +40,18 @@ def azuma_bound(n: int, c: float, t: float) -> float:
     return 2.0 * math.exp(-(t * t) / (2.0 * n * c * c))
 
 
-def puw_bound(n: int, t: float, x_inf: float, cond_norms: Sequence[float],
-              extended: bool = False) -> float:
+def puw_bound(n: int, t: float, x_inf: float, cond_norms: Sequence[float]) -> float:
     """4 sqrt(e) exp(-t^2 / (2 n [x_inf + 80 sum_j j^{-3/2} cond_norms_j]^2)).
 
-    cond_norms[j-1] = ||E(S_j | F_0)||_inf. By default the sum runs over
-    j <= n exactly as in the finite-n statement; extended=True uses the whole
-    supplied sequence (the infinite-sum variant).
+    cond_norms[j-1] = ||E(S_j | F_0)||_inf. The sum runs over j <= n exactly
+    as in the finite-n statement; later entries are ignored.
     """
     if n < 1 or t < 0 or x_inf < 0:
         raise ValueError("require n >= 1, t >= 0, x_inf >= 0")
     cn = np.asarray(cond_norms, dtype=float)
     if np.any(cn < 0):
         raise ValueError("conditional norms must be nonnegative")
-    if not extended:
-        cn = cn[:n]
+    cn = cn[:n]
     j = np.arange(1, cn.size + 1, dtype=float)
     bracket = x_inf + 80.0 * float(np.sum(j ** (-1.5) * cn))
     return 4.0 * math.sqrt(math.e) * math.exp(-(t * t) / (2.0 * n * bracket * bracket))
@@ -150,22 +147,20 @@ def sample_maxima(model: ProcessModel, replicas: int, n: int, stream: RngStream,
                   chunk: int = 1024) -> np.ndarray:
     """max_{k<=n} |S_k| of `replicas` independent paths of the model.
 
-    Chunked sampling: chunk ci is one (chunk, n) block drawn from the derived
-    generator stream.child(ci), so the run is deterministic in (master seed,
-    chunk size) whatever the number of chunks in flight (`map_chunks`), and
-    memory stays bounded by one block per worker.
+    Each `map_replicas` chunk is one (chunk, n) block, so the run is
+    deterministic in (stream, chunk size) whatever the number of chunks in
+    flight, and memory stays bounded by one block per worker.
     """
     if replicas < 1000:
         raise ValueError("need at least 10^3 replicas for a meaningful verdict")
 
-    def chunk_maxima(ci):
-        take = min(chunk, replicas - ci * chunk)
-        block = model.sample_block(n, take, stream.child(ci).generator())
+    def chunk_maxima(rows, rng):
+        block = model.sample_block(n, len(rows), rng)
         np.cumsum(block, axis=1, out=block)
         np.abs(block, out=block)
         return np.max(block, axis=1)
 
-    return np.concatenate(map_chunks(chunk_maxima, -(-replicas // chunk)))
+    return np.concatenate(map_replicas(replicas, chunk, stream, chunk_maxima))
 
 
 def grade_domination(model: ProcessModel, bound_spec: dict,

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr
 
-from .core import ProcessModel, RngStream, SpeedSequence, csv_cell, map_chunks
+from .core import ProcessModel, RngStream, SpeedSequence, map_replicas, write_csv
 from .processes import IIDSpec
 from .transfer import orbit
 
@@ -355,16 +355,15 @@ def tilted_is_estimator(spec: IIDSpec, n: int, t: float, replicas: int,
     K, _ = _cgf(spec)
     nk = float(n * K(theta))
 
-    def chunk_weights(ci):
-        take = min(chunk, replicas - ci * chunk)
-        x = _draw_tilted(spec, theta, (take, n), stream.child(ci).generator())
+    def chunk_weights(rows, rng):
+        x = _draw_tilted(spec, theta, (len(rows), n), rng)
         s = x.sum(axis=1)
         w = np.where(s >= t, np.exp(-theta * s + nk), 0.0)
         return float(np.sum(w)), float(np.sum(w * w))
 
     w_sum = 0.0
     w2_sum = 0.0
-    for w1, w2 in map_chunks(chunk_weights, -(-replicas // chunk)):  # ascending ci
+    for w1, w2 in map_replicas(replicas, chunk, stream, chunk_weights):  # ascending ci
         w_sum += w1
         w2_sum += w2
     mean_w = w_sum / replicas
@@ -431,14 +430,12 @@ def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
                 f"naive MC refused: expected exceedances {expected:.2f} < 20 at this "
                 f"threshold; raise replicas to ~{math.ceil(20 / max(expected / replicas, 1e-300))} "
                 "or use the tilted estimator")
-        sub = stream.named("naive", n)
 
-        def chunk_hits(ci):
-            take = min(1024, replicas - ci * 1024)
-            block = model.sample_block(n, take, sub.child(ci).generator())
+        def chunk_hits(rows, rng):
+            block = model.sample_block(n, len(rows), rng)
             return int(np.sum(np.sum(block, axis=1) >= t))
 
-        hits = sum(map_chunks(chunk_hits, -(-replicas // 1024)))
+        hits = sum(map_replicas(replicas, 1024, stream.named("naive", n), chunk_hits))
         if hits == 0:
             return MdpPointEstimate(n=n, a_n=a_n, x=x, method=method, threshold=t,
                                     estimate=None, flags=("no_exceedance",))
@@ -468,11 +465,8 @@ class DeviationScanReport:
             "se": point.se,
         })
 
-    def to_csv(self) -> str:
-        lines = [",".join(SCAN_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join(csv_cell(r[c]) for c in SCAN_COLUMNS))
-        return "\n".join(lines) + "\n"
+    def to_csv(self, path: str):
+        write_csv(path, SCAN_COLUMNS, ([r[c] for c in SCAN_COLUMNS] for r in self.rows))
 
     def to_json(self) -> str:
         return json.dumps({"columns": list(SCAN_COLUMNS), "rows": self.rows},

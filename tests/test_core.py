@@ -14,10 +14,10 @@ from mdplab.core import (
     RngStream,
     SpeedSequence,
     map_chunks,
+    map_replicas,
     max_abs_partial_sum,
     normalized_process,
     partial_sums,
-    stream_index_for,
 )
 
 
@@ -42,9 +42,25 @@ def test_named_stream_stable_and_distinct():
     assert not np.array_equal(x, z)
 
 
-def test_stream_index_for_is_deterministic():
-    assert stream_index_for("foo", 2) == stream_index_for("foo", 2)
-    assert stream_index_for("foo", 2) != stream_index_for("foo", 3)
+def test_stream_rule_pinned_indices():
+    # a change to the derivation rule changes every table's bytes
+    assert RngStream(5).named("experiment-a", 3).stream_index == 114865530399029639
+    assert RngStream(5, 7).child(2).stream_index == 1313108235301683196
+    assert RngStream(5).named("foo", 2) != RngStream(5).named("foo", 3)
+
+
+def test_named_stream_honours_its_parent():
+    s = RngStream(5)
+    x = s.named("a").named("x")
+    assert x != s.named("b").named("x")
+    assert x != s.named("x")
+
+
+@pytest.mark.parametrize("index", [0, 3, 123456789])
+def test_child_never_coincides_with_named_decimal(index):
+    # child(i) and named(str(k), i) are separate domains of the one rule
+    for i in range(4):
+        assert RngStream(5, index).child(i) != RngStream(5, 0).named(str(index), i)
 
 
 def test_path_is_write_protected():
@@ -83,18 +99,64 @@ def test_model_bound_enforced():
         model.sample(4, RngStream(0))
 
 
+def _coin_block(n, rng, reps=None):
+    shape = (n,) if reps is None else (reps, n)
+    return rng.integers(0, 2, shape) * 2.0 - 1.0
+
+
 def test_sample_batch_shape_and_determinism():
-    model = ProcessModel(name="coin", bound=1.0,
-                         sampler=lambda n, rng: rng.integers(0, 2, n) * 2.0 - 1.0)
+    model = ProcessModel(name="coin", bound=1.0, sampler=_coin_block)
     a = model.sample_batch(32, 5, RngStream(9))
     b = model.sample_batch(32, 5, RngStream(9))
     assert a.shape == (5, 32)
     assert np.array_equal(a, b)
 
 
-def _coin_block(n, rng, reps=None):
-    shape = (n,) if reps is None else (reps, n)
-    return rng.integers(0, 2, shape) * 2.0 - 1.0
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sample_batch_is_the_serial_chunk_loop(chunk_workers, workers):
+    # 2^16 // 5000 = 13 rows a chunk: 16 chunks, the last one short
+    chunk_workers(workers)
+    model = ProcessModel(name="coin", bound=1.0, sampler=_coin_block)
+    n, replicas, chunk = 5000, 200, 13
+    stream = RngStream(9).named("batch")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # chunks' in-place writes interleave often
+    try:
+        batch = model.sample_batch(n, replicas, stream)
+    finally:
+        sys.setswitchinterval(interval)
+    ref = np.concatenate([
+        model.sample_block(n, min(chunk, replicas - start), stream.child(ci).generator())
+        for ci, start in enumerate(range(0, replicas, chunk))])
+    assert np.array_equal(batch, ref)
+
+
+def test_sample_batch_reraises_late_bound_violation(chunk_workers):
+    chunk_workers(3)
+    stream = RngStream(9).named("late")
+    bad_key = stream.child(6).generator().bit_generator.state["state"]["key"]
+
+    def sampler(n, rng, reps=None):
+        out = _coin_block(n, rng, reps)
+        if np.array_equal(rng.bit_generator.state["state"]["key"], bad_key):
+            out[-1, -1] = 2.0  # one value out of bounds, in chunk 6 of 8
+        return out
+
+    model = ProcessModel(name="coin", bound=1.0, sampler=sampler)
+    with pytest.raises(RuntimeError, match="exceeds bound"):
+        model.sample_batch(2**14, 32, stream)  # 4 rows a chunk
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_replicas_chunks(chunk_workers, workers):
+    chunk_workers(workers)
+    stream = RngStream(2).named("seam")
+    out = map_replicas(10, 4, stream, lambda rows, rng: (rows, rng.random()))
+    assert [rows for rows, _ in out] == [range(0, 4), range(4, 8), range(8, 10)]
+    assert [u for _, u in out] == [stream.child(ci).generator().random() for ci in range(3)]
+    assert map_replicas(0, 4, stream, lambda rows, rng: rows) == []
+    with pytest.raises(ValueError):
+        map_replicas(10, 0, stream, lambda rows, rng: rows)
 
 
 def test_sample_block_shape_and_bound_check():

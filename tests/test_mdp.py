@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -191,15 +192,19 @@ def test_naive_method_on_reachable_threshold():
     assert pt.estimate == pytest.approx(ref, abs=3.0 * pt.se + 0.05)
 
 
-def test_scan_report_columns_and_trend():
+def test_scan_report_columns_and_trend(tmp_path):
     model = make_iid(IIDSpec())
     rep = mdp_scan(model, SpeedSequence(gamma=1.0 / 3.0),
                    [10**3, 10**4, 10**5], [1.0], sigma2=1.0,
                    method="exact_binomial")
-    csv = rep.to_csv()
-    header = csv.splitlines()[0]
-    assert header.split(",") == ["model", "n", "a_n", "x", "method",
-                                "estimate", "target", "gap", "se"]
+    path = tmp_path / "scan.csv"
+    rep.to_csv(str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["model", "n", "a_n", "x", "method",
+                       "estimate", "target", "gap", "se"]
+    assert [int(r[1]) for r in rows[1:]] == [10**3, 10**4, 10**5]
+    assert [float(r[5]) for r in rows[1:]] == [r["estimate"] for r in rep.rows]
     assert rep.gap_trend_ok()
 
 

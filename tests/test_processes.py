@@ -217,8 +217,9 @@ def test_block_rows_are_bounded_paths(key):
     if isinstance(out, tuple):
         assert np.asarray(out[1]).shape[0] == 5
     assert np.max(np.abs(values)) <= model.bound
-    # rows are distinct paths, not copies of one
-    assert not np.array_equal(values[0], values[1])
+    # the five rows are not all one path; two rows alone may coincide (two
+    # 24-step counterexample rows do with probability about 0.02)
+    assert any(not np.array_equal(values[0], row) for row in values[1:])
 
 
 @pytest.mark.parametrize("key", ["iid", "iid_uniform", "iid_two_point", "linear",
