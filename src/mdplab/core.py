@@ -136,7 +136,7 @@ class ProcessModel:
     one independent stationary path per row, drawn in one pass from the same
     generator. States follow the values' leading shape. `sample` and
     `sample_block` are the checked entry points: they enforce the shape and
-    the bound |x| <= bound on every value.
+    the bound |x| <= bound on every value, which no nan or inf meets.
     `kernel` (optional) carries exact conditional-expectation machinery;
     see mdplab.transfer for the kernel interface.
     """
@@ -153,7 +153,7 @@ class ProcessModel:
         if values.shape != shape:
             raise RuntimeError(f"sampler returned shape {values.shape}, expected {shape}")
         amax = float(np.maximum(np.max(values), -np.min(values)))  # no |values| copy
-        if amax > self.bound * (1 + 1e-12):
+        if not amax <= self.bound * (1 + 1e-12):  # a nan anywhere makes amax nan
             raise RuntimeError(
                 f"model {self.name}: sampled value {amax} exceeds bound {self.bound}"
             )

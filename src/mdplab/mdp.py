@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr
+from scipy.special import expit, gammaln, logsumexp, ndtr
 
 from .core import ProcessModel, RngStream, SpeedSequence, map_replicas, write_csv
 from .processes import IIDSpec
@@ -327,20 +327,21 @@ def _solve_tilt(spec: IIDSpec, mean_target: float) -> float:
 
 
 def _draw_tilted(spec: IIDSpec, theta: float, size, rng: np.random.Generator):
+    """Values of the uniform law tilted by theta, by inverse CDF."""
     if theta == 0.0:
         return spec.draw(size, rng)
-    if spec.law == "rademacher":
-        p_plus = math.exp(theta) / (2.0 * math.cosh(theta))
-        return np.where(rng.random(size) < p_plus, 1.0, -1.0)
-    if spec.law == "uniform":
-        c = spec.c
-        u = rng.random(size)
-        lo, hi = math.exp(-theta * c), math.exp(theta * c)
-        return np.log(lo + u * (hi - lo)) / theta
-    p, a, b = spec.p, spec.a, spec.b
-    wa = p * math.exp(theta * a)
-    wa = wa / (wa + (1 - p) * math.exp(theta * b))
-    return np.where(rng.random(size) < wa, a, b)
+    c = spec.c
+    u = rng.random(size)
+    lo, hi = math.exp(-theta * c), math.exp(theta * c)
+    return np.log(lo + u * (hi - lo)) / theta
+
+
+def _tilted_two_point(spec: IIDSpec, theta: float):
+    """(q_a, a, b): under the tilt theta a value of a two-point law is a with
+    probability q_a = p e^(theta a) / (p e^(theta a) + (1 - p) e^(theta b)),
+    else b. In logistic form, so that no exp overflows at large theta."""
+    p, a, b = (0.5, 1.0, -1.0) if spec.law == "rademacher" else (spec.p, spec.a, spec.b)
+    return float(expit(theta * (a - b) + math.log(p) - math.log1p(-p))), a, b
 
 
 def tilted_is_estimator(spec: IIDSpec, n: int, t: float, replicas: int,
@@ -349,15 +350,26 @@ def tilted_is_estimator(spec: IIDSpec, n: int, t: float, replicas: int,
 
     The tilt theta* centers the sampling law at t/n, so the indicator fires
     about half the time; weights exp(-theta S + n K(theta)) make the
-    estimate unbiased for the original law.
+    estimate unbiased for the original law. For the two-point laws
+    (rademacher, two_point) the weight depends on S alone, and under the tilt
+    S = a K + b (n - K) with K ~ Binomial(n, q_a(theta)), so a replica is one
+    binomial draw; the uniform law draws its n values.
     """
     theta = _solve_tilt(spec, t / n)
     K, _ = _cgf(spec)
     nk = float(n * K(theta))
+    if spec.law == "uniform":
+        def draw_sums(size, rng):
+            return _draw_tilted(spec, theta, (size, n), rng).sum(axis=1)
+    else:
+        q_a, a, b = _tilted_two_point(spec, theta)
+
+        def draw_sums(size, rng):
+            k = rng.binomial(n, q_a, size)
+            return a * k + b * (n - k)
 
     def chunk_weights(rows, rng):
-        x = _draw_tilted(spec, theta, (len(rows), n), rng)
-        s = x.sum(axis=1)
+        s = draw_sums(len(rows), rng)
         w = np.where(s >= t, np.exp(-theta * s + nk), 0.0)
         return float(np.sum(w)), float(np.sum(w * w))
 

@@ -85,9 +85,14 @@ class IIDSpec:
         return self.p * self.a**2 + (1 - self.p) * self.b**2
 
     def draw(self, size, rng: np.random.Generator) -> np.ndarray:
-        """Values of the given shape, filled in C order from one stream."""
+        """Values of the given shape, filled in C order from one stream.
+
+        Rademacher signs are `_fair_bits`, 64 signs per generator word, so a
+        row of a block equals a sequential draw of one row; the other laws
+        take one generator value per entry.
+        """
         if self.law == "rademacher":
-            return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
+            return _fair_bits(rng, size) * 2.0 - 1.0
         if self.law == "uniform":
             return rng.uniform(-self.c, self.c, size)
         return np.where(rng.random(size) < self.p, self.a, self.b)
@@ -212,6 +217,21 @@ class CounterexampleChainSpec:
 
 def _shape(reps: Optional[int], length: int) -> tuple:
     return (length,) if reps is None else (reps, length)
+
+
+def _fair_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """uint8 array of iid fair 0/1 bits, 64 per generator word.
+
+    Each row (the last axis, length n) unpacks its own ceil(n / 64) words,
+    bit j of word w being entry 64 w + j, so the rows of a block equal
+    sequential one-row draws. Words are read as little-endian bytes, so the
+    bits do not depend on the host's byte order.
+    """
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    n = int(shape[-1])
+    words = rng.integers(0, 2**64, shape[:-1] + (-(-n // 64),), dtype=np.uint64)
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                         count=n, bitorder="little")
 
 
 def make_iid(spec: IIDSpec) -> ProcessModel:
@@ -377,7 +397,9 @@ def _digit_shift_orbit(n: int, beta: int, rng: np.random.Generator,
     beta = 2 and within about one ulp of the rational otherwise.
     """
     depth = _digit_depth(beta)
-    digits = rng.integers(0, beta, _shape(reps, n + depth))
+    shape = _shape(reps, n + depth)
+    digits = _fair_bits(rng, shape).astype(np.int64) if beta == 2 \
+        else rng.integers(0, beta, shape)
     # beta^-depth = hi + lo, lo the rounding error of hi; X = high + low with
     # low its last 11 bits, so high and low are exact as floats: one rounding
     # in high * hi, one in the final sum
@@ -487,7 +509,7 @@ def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
         rows = 1 if reps is None else reps
         xi0 = rng.random(rows)
         # the walk's integer position m_k = sum of k signs, exact
-        walk = rng.integers(0, 2, (rows, n))
+        walk = _fair_bits(rng, (rows, n)).astype(np.int64)
         walk *= 2
         walk -= 1
         walk.cumsum(axis=1, out=walk)
@@ -569,7 +591,7 @@ def make_counterexample_chain(spec: CounterexampleChainSpec) -> ProcessModel:
             if np.any(renew):
                 # tau - 1, folded renewal
                 y[..., k][renew] = rng.choice(tau.size, p=tau, size=int(np.sum(renew)))
-        xi = rng.integers(0, 2, _shape(reps, n)) * 2.0 - 1.0
+        xi = _fair_bits(rng, _shape(reps, n)) * 2.0 - 1.0
         states = y[..., 1:]
         return xi * (states != 0), states
 

@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mdplab
 from mdplab.cli import main
+from mdplab.core import RngStream
+from mdplab.processes import model_from_config
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -49,6 +52,27 @@ def test_simulate_task_writes_csv_and_manifest(tmp_path):
     assert manifest["seed"] == 11
     assert "numpy" in manifest["versions"]
     assert (out / "timing.json").exists()
+
+
+@pytest.mark.parametrize("law", ["rademacher", "uniform"])
+def test_simulate_rows_are_the_named_replica_paths(tmp_path, law):
+    # 2^16 // 4096 = 16 rows a block: three blocks, the last one short;
+    # uniform values make the partial sums depend on the order of addition
+    n, reps, seed = 4096, 40, 11
+    model_cfg = {"kind": "iid", "law": law}
+    cfg = write_cfg(tmp_path, "sim.json", {
+        "task": "simulate", "seed": seed, "model": model_cfg,
+        "params": {"n": n, "replicas": reps}, "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 0
+    lines = (tmp_path / "out" / "simulate.csv").read_text().splitlines()
+    assert lines[0] == "replica,s_n,max_abs_partial_sum"
+    model = model_from_config(model_cfg)
+    want = []
+    for r in range(reps):
+        s = np.cumsum(model.sample(n, RngStream(seed).named("simulate", r)).values)
+        want.append(f"{r},{float(s[-1])!r},{float(np.max(np.abs(s)))!r}")
+    assert lines[1:] == want
 
 
 def test_run_is_byte_deterministic(tmp_path):

@@ -169,6 +169,20 @@ def test_sample_block_shape_and_bound_check():
         too_big.sample_block(16, 5, RngStream(4).generator())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_fail_the_bound_check(bad):
+    def sampler(n, rng, reps=None):
+        out = np.zeros((n,) if reps is None else (reps, n))
+        out[..., -1] = bad
+        return out
+
+    model = ProcessModel(name="non-finite", bound=1.0, sampler=sampler)
+    with pytest.raises(RuntimeError, match="exceeds bound"):
+        model.sample(8, RngStream(0))
+    with pytest.raises(RuntimeError, match="exceeds bound"):
+        model.sample_block(8, 3, RngStream(0).generator())
+
+
 def test_sample_block_rejects_wrong_shape():
     model = ProcessModel(name="flat", bound=1.0,
                          sampler=lambda n, rng, reps=None: np.zeros(n))

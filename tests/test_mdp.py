@@ -15,6 +15,7 @@ from mdplab.mdp import (
     _draw_tilted,
     _enum_circle_block_mean,
     _solve_tilt,
+    _tilted_two_point,
     block_martingale_decompose,
     empirical_mdp_point,
     endpoint_rate,
@@ -342,3 +343,56 @@ def test_tilted_estimator_matches_serial_chunk_loop(chunk_workers, workers):
     mean_w = w_sum / replicas
     assert est == math.log(mean_w)
     assert se == math.sqrt(max(w2_sum / replicas - mean_w**2, 0.0) / replicas) / mean_w
+
+
+SKEWED = IIDSpec(law="two_point", p=0.25, a=3.0, b=-1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("spec", [IIDSpec(), SKEWED], ids=["rademacher", "skewed"])
+def test_tilted_two_point_is_the_serial_binomial_loop(chunk_workers, spec, workers):
+    chunk_workers(workers)
+    n, replicas, chunk = 100, 2100, 256  # 9 chunks, the last one short
+    t = 0.4 * n
+    stream = STREAM.named("tilt-binomial")
+    est, se = tilted_is_estimator(spec, n, t, replicas, stream, chunk=chunk)
+    # reference: one binomial count per replica, chunk sums added in ascending ci
+    theta = _solve_tilt(spec, t / n)
+    nk = float(n * _cgf(spec)[0](theta))
+    q_a, a, b = _tilted_two_point(spec, theta)
+    w_sum = w2_sum = 0.0
+    for ci, start in enumerate(range(0, replicas, chunk)):
+        k = stream.child(ci).generator().binomial(n, q_a, min(chunk, replicas - start))
+        s = a * k + b * (n - k)
+        w = np.where(s >= t, np.exp(-theta * s + nk), 0.0)
+        w_sum += float(np.sum(w))
+        w2_sum += float(np.sum(w * w))
+    mean_w = w_sum / replicas
+    assert est == math.log(mean_w)
+    assert se == math.sqrt(max(w2_sum / replicas - mean_w**2, 0.0) / replicas) / mean_w
+
+
+def test_tilted_two_point_probability():
+    # the tilted law puts mass proportional to p e^(theta a) on a
+    for spec, theta in [(IIDSpec(), 0.7), (SKEWED, 0.3), (SKEWED, -1.2)]:
+        q_a, a, b = _tilted_two_point(spec, theta)
+        p = 0.5 if spec.law == "rademacher" else spec.p
+        wa, wb = p * math.exp(theta * a), (1 - p) * math.exp(theta * b)
+        assert q_a == pytest.approx(wa / (wa + wb), rel=1e-14)
+        assert math.isclose(_cgf(spec)[1](theta), q_a * a + (1 - q_a) * b, rel_tol=1e-12)
+    # no overflow where e^(theta a) is not a float
+    assert _tilted_two_point(SKEWED, 1000.0)[0] == 1.0
+    assert _tilted_two_point(SKEWED, -1000.0)[0] == 0.0
+
+
+def test_tilted_skewed_two_point_within_6se_of_the_exact_tail():
+    n, p = 200, SKEWED.p
+    t = 3.0 * math.sqrt(SKEWED.variance * n)
+    # S_n = 4 K - n with K ~ Binomial(n, 1/4): sum the log-space binomial tail
+    k = np.arange(math.ceil((t + n) / 4), n + 1)
+    exact = float(special.logsumexp(special.gammaln(n + 1) - special.gammaln(k + 1)
+                                    - special.gammaln(n - k + 1)
+                                    + k * math.log(p) + (n - k) * math.log1p(-p)))
+    est, se = tilted_is_estimator(SKEWED, n, t, 4000, STREAM.named("tilt-skewed"))
+    assert 0.0 < se < 0.1
+    assert abs(est - exact) < 6.0 * se

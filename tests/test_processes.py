@@ -20,6 +20,7 @@ from mdplab.processes import (
     IteratedFunctionSpec,
     LinearProcessSpec,
     _digit_shift_orbit,
+    _fair_bits,
     age_chain_matrix,
     make_alternating_plus_iid,
     make_circle_walk,
@@ -234,6 +235,36 @@ def test_block_equals_sequential_draws(key):
     assert np.array_equal(block, rows)
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+def test_fair_bit_rows_equal_sequential_draws(n):
+    block = _fair_bits(STREAM.named("bits-seq", n).generator(), (5, n))
+    rng = STREAM.named("bits-seq", n).generator()
+    rows = np.array([_fair_bits(rng, n) for _ in range(5)])
+    assert block.dtype == np.uint8 and block.shape == (5, n)
+    assert np.array_equal(block, rows)
+    assert set(np.unique(block)) <= {0, 1}
+
+
+def test_fair_bits_unpack_the_first_word_low_bit_first():
+    word = 0xAAF90D6304F1EF7B  # the first 64-bit word of this stream
+    stream = STREAM.named("fair-bits")
+    assert int(stream.generator().integers(0, 2**64, dtype=np.uint64)) == word
+    want = [(word >> j) & 1 for j in range(64)]
+    assert _fair_bits(stream.generator(), 64).tolist() == want
+    # Rademacher sign j is bit j
+    signs = IIDSpec().draw(64, stream.generator())
+    assert signs.tolist() == [2.0 * b - 1.0 for b in want]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
+def test_fair_bit_frequencies(bit_generator):
+    # 2^22 bits; every bit position of a word is half ones, within 6 SE
+    bits = _fair_bits(np.random.Generator(bit_generator(2026)), (2**16, 64))
+    assert abs(bits.mean() - 0.5) <= 6 * 0.5 / math.sqrt(bits.size)
+    per_position = bits.mean(axis=0)
+    assert np.max(np.abs(per_position - 0.5)) <= 6 * 0.5 / math.sqrt(bits.shape[0])
+
+
 CIRCLE_STEPS = {
     "golden": GOLDEN,
     "negative": -GOLDEN,
@@ -256,7 +287,7 @@ def test_circle_states_are_the_correctly_rounded_exact_positions(step, n, reps):
     rng = stream.generator()
     rows = 1 if reps is None else reps
     xi0 = rng.random(rows)
-    walk = np.cumsum(rng.integers(0, 2, (rows, n)) * 2 - 1, axis=1)
+    walk = np.cumsum(_fair_bits(rng, (rows, n)).astype(int) * 2 - 1, axis=1)
     want = np.array([[float(x)] + [float((Fraction(x) + Fraction(a) * int(m)) % 1) for m in row]
                      for x, row in zip(xi0, walk)])
     assert np.array_equal(np.atleast_2d(states), want)
@@ -273,7 +304,8 @@ def _float_window_orbit(n, beta, rng, reps=None):
     # reference: the depth-tap float dot product over a strided window view
     depth = max(2, int(math.ceil(53 / math.log2(beta))))
     shape = (n + depth,) if reps is None else (reps, n + depth)
-    digits = rng.integers(0, beta, shape).astype(float)
+    digits = _fair_bits(rng, shape) if beta == 2 else rng.integers(0, beta, shape)
+    digits = digits.astype(float)
     windows = sliding_window_view(digits, depth, axis=-1)[..., :n, :]
     return windows @ (beta ** (-np.arange(1, depth + 1, dtype=float)))
 
