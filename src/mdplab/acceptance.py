@@ -31,7 +31,8 @@ from .processes import (
     make_iterated_function,
     make_linear_process,
 )
-from .transfer import GridFunction, IntegerBetaPFKernel, pf_duality_gap, sup_norm_decay
+from .transfer import (GridFunction, IntegerBetaPFKernel, conditional_sum_norm_profile,
+                       pf_duality_gap, sup_norm_decay)
 from .conditions import check_bis, check_class_L, check_mw
 from .variance import (
     sigma2_circle_fourier,
@@ -134,7 +135,7 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
     root = math.sqrt(n)
     mults = (2.0, 2.5, 3.0, 3.5, 4.0)
     iid = make_iid(IIDSpec(law="rademacher"))
-    circle_norms = circle.kernel.cond_sum_sup_norms(n)
+    circle_norms = conditional_sum_norm_profile(circle.kernel, circle.centered_observable(), n)
     linear = make_linear_process(LinearProcessSpec(
         coeff_kind="geometric", C=0.25, rho=0.5, modulus=lambda h: h))
     sigma_c = math.sqrt(exact_c.value)

@@ -20,7 +20,7 @@ import scipy
 from . import __version__
 from .core import BATCH_CHUNK_VALUES, RngStream, SpeedSequence, map_replicas, write_csv
 from .processes import model_from_config
-from .transfer import sup_norm_decay
+from .transfer import CircleFourierKernel, sup_norm_decay
 from .conditions import check_bis, check_mw
 from .variance import (
     sigma2_circle_fourier,
@@ -66,6 +66,28 @@ class ConfigError(ValueError):
     pass
 
 
+def _count(v) -> bool:
+    return type(v) is int and v >= 1
+
+
+def _number(v) -> bool:
+    return type(v) in (int, float)
+
+
+# what each typed param must be, as JSON gives it; `a` is a number for sigma2
+# and, for diophantine, an irrational spec that `_irrational_from_cfg` checks
+_PARAM_TYPES = {
+    **dict.fromkeys(("n", "replicas", "n_max", "m", "K", "k_max", "j_max", "k_support"),
+                    ("a positive integer", _count)),
+    **dict.fromkeys(("floor", "sigma2", "gamma", "eps"), ("a number", _number)),
+    **dict.fromkeys(("method", "check", "action"), ("a string", lambda v: type(v) is str)),
+    "n_grid": ("a list of positive integers", lambda v: type(v) is list and all(map(_count, v))),
+    **dict.fromkeys(("x_grid", "thresholds"),
+                    ("a list of numbers", lambda v: type(v) is list and all(map(_number, v)))),
+    "coeffs": ("an object", lambda v: type(v) is dict),
+}
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -95,9 +117,11 @@ def _load_config(path: str) -> dict:
     seed = cfg.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    for key in ("n", "replicas", "n_max", "m", "K"):
-        if key in params and (not isinstance(params[key], int) or params[key] < 1):
-            raise ConfigError(f"param {key} must be a positive integer")
+    types = dict(_PARAM_TYPES, a=("a number", _number)) if task == "sigma2" else _PARAM_TYPES
+    for key in sorted(params.keys() & types.keys()):
+        what, ok = types[key]
+        if not ok(params[key]):
+            raise ConfigError(f"param {key} must be {what}, got {params[key]!r}")
     return cfg
 
 
@@ -113,7 +137,10 @@ def _model(cfg: dict):
 
 def _irrational_from_cfg(spec) -> IrrationalSpec:
     if isinstance(spec, dict):
-        return IrrationalSpec(**spec)
+        try:
+            return IrrationalSpec(**spec)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid irrational spec: {exc}") from exc
     if spec == "golden":
         return IrrationalSpec(kind="quadratic", P=-1, D=5, Q=2)
     raise ConfigError(f"unsupported irrational spec {spec!r}")
@@ -152,7 +179,10 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         if fourier:
             if not {"coeffs", "a"} <= set(params):
                 raise ConfigError("fourier_closed_form needs params coeffs and a")
-            coeffs = {int(k): complex(v) for k, v in params["coeffs"].items()}
+            try:
+                coeffs = {int(k): complex(v) for k, v in params["coeffs"].items()}
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid Fourier coefficients: {exc}") from exc
             est = sigma2_circle_fourier(coeffs, float(params["a"]),
                                         params.get("k_support"))
         else:
@@ -232,6 +262,9 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         if model.kernel is None:
             raise ConfigError("transfer-decay needs a kernel model")
         kernel = model.kernel
+        if isinstance(kernel, CircleFourierKernel):
+            raise ValueError("transfer-decay decays the sawtooth x - 1/2, which is not a "
+                             "function on the circle; use the conditions task instead")
         nodes = np.asarray(kernel.nodes, dtype=float)
         f = nodes - kernel.mu(nodes)
         report = sup_norm_decay(kernel, f, params.get("n_max", 64))

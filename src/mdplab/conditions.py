@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ProcessModel
-from .transfer import (Kernel, conditional_square_norm, conditional_sum_norm_profile,
-                       dust_floor, orbit)
+from .transfer import (conditional_square_norm, conditional_sum_norm_profile, dust_floor,
+                       orbit)
 
 __all__ = [
     "SeriesDiagnostic",
@@ -137,25 +137,6 @@ def diagnose_series(terms: np.ndarray, floor: float = 0.0) -> SeriesDiagnostic:
                             fit_param=param, fit_r2=r2)
 
 
-def _kernel_and_observable(model: ProcessModel):
-    kernel: Kernel = model.kernel
-    if kernel is None:
-        raise ValueError(f"model {model.name} has no exact kernel; "
-                         "use the bound-based checkers instead")
-    f = np.asarray(kernel.nodes, dtype=float)
-    # kernel models carry the centered observable as f(state); finite-state
-    # kernels use the state values themselves
-    obs = model.meta.get("observable")
-    if obs is not None:
-        f = np.asarray(obs(kernel.nodes), dtype=float)
-        f = f - kernel.mu(f)
-    elif hasattr(kernel, "centered_coeffs"):
-        f = kernel.eval_coeffs(kernel.centered_coeffs(), kernel.nodes)
-    else:
-        f = f - kernel.mu(f)
-    return kernel, f
-
-
 def check_mw(model: ProcessModel, n_max: int = 512,
              floor: float = 0.0) -> SeriesDiagnostic:
     """Sum over n of n^{-3/2} ||E(S_n | F_0)||_inf, exact for kernel models.
@@ -163,11 +144,8 @@ def check_mw(model: ProcessModel, n_max: int = 512,
     The report also carries the auxiliary dyadic norms used by the variance
     identification (Delta-style columns).
     """
-    kernel, f = _kernel_and_observable(model)
-    if hasattr(kernel, "cond_sum_sup_norms"):
-        norms = kernel.cond_sum_sup_norms(n_max)  # exact mode arithmetic
-    else:
-        norms = conditional_sum_norm_profile(kernel, f, n_max)
+    kernel, f = model.kernel, model.centered_observable()
+    norms = conditional_sum_norm_profile(kernel, f, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     terms = n ** (-1.5) * norms
     diag = diagnose_series(terms, floor=max(floor, dust_floor(f)))
@@ -182,11 +160,8 @@ def check_mw(model: ProcessModel, n_max: int = 512,
 def check_bis(model: ProcessModel, n_max: int = 512,
               floor: float = 0.0) -> SeriesDiagnostic:
     """Sum over n of n^{-1/2} ||E(X_n | F_0)||_inf."""
-    kernel, f = _kernel_and_observable(model)
-    if hasattr(kernel, "sup_norm_powers"):
-        norms = kernel.sup_norm_powers(n_max)  # exact mode arithmetic
-    else:
-        norms = kernel.sup(orbit(kernel, f, n_max, center=True))
+    kernel, f = model.kernel, model.centered_observable()
+    norms = kernel.sup(orbit(kernel, f, n_max, center=True))
     n = np.arange(1, n_max + 1, dtype=float)
     return diagnose_series(n ** (-0.5) * norms, floor=max(floor, dust_floor(f)))
 
@@ -217,7 +192,7 @@ def _spearman_rho(x, y) -> float:
 def check_s2inf(model: ProcessModel, sigma2_ref: float,
                 n_list: Sequence[int]):
     """Deviation ||n^{-1} E(S_n^2|F_0) - sigma2||_inf per n; pass iff the trend decreases."""
-    kernel, f = _kernel_and_observable(model)
+    kernel, f = model.kernel, model.centered_observable()
     devs = np.array([conditional_square_norm(kernel, f, n, sigma2_ref) for n in n_list])
     if len(n_list) >= 3 and np.max(devs) > 0:
         passed = bool(_spearman_rho(n_list, devs) < 0)

@@ -184,6 +184,16 @@ class ProcessModel:
         map_replicas(replicas, max(1, BATCH_CHUNK_VALUES // n), stream, fill)
         return out
 
+    def centered_observable(self) -> np.ndarray:
+        """meta["observable"] at the kernel's nodes (the nodes themselves if
+        the model publishes none) minus its mean under the kernel's measure."""
+        if self.kernel is None:
+            raise ValueError(f"model {self.name} has no exact kernel")
+        nodes = self.kernel.nodes
+        obs = self.meta.get("observable")
+        f = np.asarray(nodes if obs is None else obs(nodes), dtype=float)
+        return f - self.kernel.mu(f)
+
 
 MAX_CHUNK_WORKERS = 4
 

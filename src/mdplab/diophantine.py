@@ -65,6 +65,8 @@ class IrrationalSpec:
 
     def __post_init__(self):
         if self.kind == "quadratic":
+            if not all(type(v) is int for v in (self.P, self.D, self.Q)):
+                raise TypeError("P, D and Q must be integers")
             if self.Q == 0:
                 raise ValueError("Q must be nonzero")
             r = math.isqrt(self.D)
@@ -73,6 +75,7 @@ class IrrationalSpec:
         elif self.kind == "literal":
             if not self.literal:
                 raise ValueError("literal spec needs a decimal string")
+            Fraction(self.literal)  # a malformed decimal raises ValueError here
             if self.radius <= 0.0:
                 raise ValueError("literal spec needs an explicit positive error radius")
         else:

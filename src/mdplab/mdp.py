@@ -19,7 +19,7 @@ from scipy.special import expit, gammaln, logsumexp, ndtr
 
 from .core import ProcessModel, RngStream, SpeedSequence, map_replicas, write_csv
 from .processes import IIDSpec
-from .transfer import orbit
+from .transfer import CircleFourierKernel, orbit
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -144,8 +144,6 @@ class BlockDecomposition:
 def _cond_block_means(kernel, f_values: np.ndarray, start_states: np.ndarray,
                       m: int) -> np.ndarray:
     """E(sum of next m observables | start state) per block start."""
-    if hasattr(kernel, "cond_sum_eval"):
-        return np.asarray(kernel.cond_sum_eval(m, start_states), dtype=float)
     cum = np.sum(orbit(kernel, f_values, m, center=True), axis=0)
     return kernel.eval(cum, np.asarray(start_states, dtype=float))
 
@@ -172,8 +170,7 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
     oracle). No other kernel has such a check: there `cond_mean_check` is nan
     and `cond_mean_checked` is False.
     """
-    if model.kernel is None:
-        raise ValueError("block decomposition needs a kernel model")
+    kernel, f_nodes = model.kernel, model.centered_observable()
     if path.states is None:
         raise ValueError("path must record the underlying states")
     values = path.values
@@ -181,16 +178,6 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
     n_blocks = n // m
     if n_blocks < 1:
         raise ValueError("path shorter than one block")
-    kernel = model.kernel
-    f_nodes = None
-    if not hasattr(kernel, "cond_sum_eval"):
-        obs = model.meta.get("observable")
-        if obs is not None:
-            f_nodes = np.asarray(obs(kernel.nodes), dtype=float)
-            f_nodes = f_nodes - kernel.mu(f_nodes)
-        else:
-            f_nodes = np.asarray(kernel.nodes, dtype=float)
-            f_nodes = f_nodes - kernel.mu(f_nodes)
 
     block_sums = values[: n_blocks * m].reshape(n_blocks, m).sum(axis=1)
     st = np.asarray(path.states, dtype=float)
@@ -215,7 +202,7 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
     boundary = float(np.sum(values[n_blocks * m :]))
 
     check = math.nan
-    if hasattr(kernel, "cond_sum_eval") and m <= 12:
+    if isinstance(kernel, CircleFourierKernel) and m <= 12:
         first = 0 if st.size == n + 1 else 1
         checked = range(first, min(first + check_blocks, n_blocks))
         if len(checked):

@@ -2,7 +2,7 @@
 
 Expanding-map orbits are sampled by digit shift (exact: float iteration of
 x -> beta*x mod 1 collapses after ~53 steps), the Gauss map in extended
-precision, and the circle walk carries an exact Fourier kernel.
+precision, and the circle walk carries an exact trigonometric collocation kernel.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
@@ -545,7 +546,8 @@ def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
 
     return ProcessModel(name="circle_walk", bound=bound * (1 + 1e-9), sampler=sampler,
                         kernel=kernel, meta={"a": spec.a, "coeffs": dict(centered),
-                                             "mean": f0})
+                                             "mean": f0,
+                                             "observable": partial(kernel.eval_coeffs, centered)})
 
 
 def stationary_age_law(tau_pmf: np.ndarray) -> np.ndarray:

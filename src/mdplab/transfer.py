@@ -17,9 +17,10 @@ observables, such as the hat-function witnesses and the BV test functions,
 converge only at O(1/N) on Chebyshev points and belong on the grid classes;
 the model builders refuse them.
 
-The circle-walk kernel additionally keeps an exact Fourier representation, so
-conditional expectations at arbitrary points are exact to rounding; this is
-what the block-martingale decomposition relies on.
+The circle-walk kernel is a collocation kernel too: for an observable with
+Fourier modes |k| <= K it carries functions by their values at the n = 4K + 1
+nodes j/n, where rotation averaging is exact to rounding on the observable,
+its powers and the products of band 2K that conditional second moments need.
 
 Every power K^k f goes through `orbit`, and every sup norm through
 `Kernel.sup`.
@@ -37,6 +38,7 @@ DEFAULT_GRID = 4096  # resolves every acceptance target in milliseconds
 CHEB_POINTS = 48  # Chebyshev nodes of the spectral kernels
 GAUSS_BRANCHES = 2048  # Gauss-map branches summed one by one; the rest in closed form
 SUP_GRID = 4096  # spectral sup norms are read on the uniform grid j/SUP_GRID
+CIRCLE_MAX_MODE = 256  # 4K + 1 <= 1025 circle nodes: an 8 MB matrix, a 34 MB sup grid
 
 __all__ = [
     "GridFunction",
@@ -51,7 +53,6 @@ __all__ = [
     "orbit",
     "dust_floor",
     "apply_pf_integer_beta",
-    "apply_kernel_circle",
     "total_variation_norm",
     "sup_norm_decay",
     "check_bv_contraction",
@@ -111,12 +112,6 @@ def apply_pf_integer_beta(f: GridFunction, beta: int) -> GridFunction:
     for i in range(beta):
         acc += f.eval((x + i) / beta)
     return GridFunction(acc / beta)
-
-
-def apply_kernel_circle(f: GridFunction, a: float) -> GridFunction:
-    """Two-point average (Kf)(x) = (f(x+a) + f(x-a))/2 with wraparound."""
-    x = f.nodes
-    return GridFunction(0.5 * (f.eval_periodic(x + a) + f.eval_periodic(x - a)))
 
 
 def total_variation_norm(f: GridFunction) -> float:
@@ -258,111 +253,6 @@ class IteratedFunctionKernel(_UniformGridKernel):
         return float(np.trapezoid(values * self._inv_density, dx=1.0 / self.n_points))
 
 
-class CircleFourierKernel(Kernel):
-    """Kf(x) = (f(x+a)+f(x-a))/2, exact on trigonometric polynomials.
-
-    Functions with finitely supported Fourier coefficients are carried as
-    {k: coeff}; the kernel is diagonal with multiplier cos(2 pi k a). The
-    generic grid interface evaluates the exact representation at the nodes.
-    """
-
-    def __init__(self, a: float, coeffs: dict, n_points: int = DEFAULT_GRID):
-        self.a = float(a)
-        self.coeffs = {int(k): complex(c) for k, c in coeffs.items()}
-        for k, c in list(self.coeffs.items()):
-            conj = self.coeffs.get(-k)
-            if conj is None or abs(np.conj(c) - conj) > 1e-12 * (1 + abs(c)):
-                raise ValueError("coefficients must be Hermitian (real-valued f)")
-        self.n_points = n_points
-        self.nodes = np.linspace(0.0, 1.0, n_points + 1)
-
-    # --- exact operations on coefficient dicts ---
-
-    def multiplier(self, k: int) -> float:
-        return float(np.cos(2.0 * np.pi * k * self.a))
-
-    def power_coeffs(self, s: int, coeffs: Optional[dict] = None) -> dict:
-        c = self.coeffs if coeffs is None else coeffs
-        return {k: v * self.multiplier(k) ** s for k, v in c.items()}
-
-    @staticmethod
-    def eval_coeffs(coeffs: dict, x, basis: Optional[dict] = None) -> np.ndarray:
-        """Re sum_k c_k e(kx), in real arithmetic: each +/-k pair gives
-        (Re c_k + Re c_-k) cos 2 pi k x - (Im c_k - Im c_-k) sin 2 pi k x.
-
-        `basis` optionally maps k to (cos 2 pi k x, sin 2 pi k x) on this x,
-        as `_mode_basis` computes them; the result is the same to the bit.
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        c0 = coeffs.get(0)
-        if c0 is not None:
-            out += complex(c0).real
-        term = np.empty_like(x)  # every mode's term is computed in this one buffer
-
-        def mode(trig, k, column):
-            if basis is not None:
-                return basis[k][column]
-            return trig(np.multiply(2.0 * np.pi * k, x, out=term), out=term)
-
-        for k in sorted({abs(int(k)) for k in coeffs} - {0}):
-            cp, cm = complex(coeffs.get(k, 0.0)), complex(coeffs.get(-k, 0.0))
-            re, im = cp.real + cm.real, cp.imag - cm.imag
-            if re != 0.0:
-                out += np.multiply(re, mode(np.cos, k, 0), out=term)
-            if im != 0.0:
-                out -= np.multiply(im, mode(np.sin, k, 1), out=term)
-        return out
-
-    def _mode_basis(self, x: np.ndarray) -> dict:
-        """cos/sin(2 pi k x) for every mode k > 0 of the observable, computed once."""
-        return {k: (np.cos(2.0 * np.pi * k * x), np.sin(2.0 * np.pi * k * x))
-                for k in {abs(k) for k in self.coeffs} - {0}}
-
-    def centered_coeffs(self) -> dict:
-        return {k: c for k, c in self.coeffs.items() if k != 0}
-
-    def cond_sum_eval(self, n: int, x, basis: Optional[dict] = None) -> np.ndarray:
-        """Exact sum_{s=1}^n K^s f_c evaluated at x (f_c the centered observable)."""
-        acc = {}
-        for k, c in self.centered_coeffs().items():
-            m = self.multiplier(k)
-            if abs(1.0 - m) < 1e-15:
-                acc[k] = c * n
-            else:
-                acc[k] = c * m * (1.0 - m**n) / (1.0 - m)
-        return self.eval_coeffs(acc, x, basis)
-
-    def sup_norm_powers(self, n_max: int, sup_grid: int = 8192) -> np.ndarray:
-        """||K^n f_c||_inf for n = 1..n_max, exact mode arithmetic."""
-        x = np.linspace(0.0, 1.0, sup_grid, endpoint=False)
-        basis = self._mode_basis(x)
-        centered = self.centered_coeffs()
-        out = np.empty(n_max)
-        for n in range(1, n_max + 1):
-            out[n - 1] = np.max(np.abs(self.eval_coeffs(
-                self.power_coeffs(n, centered), x, basis)))
-        return out
-
-    def cond_sum_sup_norms(self, n_max: int, sup_grid: int = 8192) -> np.ndarray:
-        """||sum_{s<=n} K^s f_c||_inf for n = 1..n_max, exact mode arithmetic."""
-        x = np.linspace(0.0, 1.0, sup_grid, endpoint=False)
-        basis = self._mode_basis(x)
-        out = np.empty(n_max)
-        for n in range(1, n_max + 1):
-            out[n - 1] = np.max(np.abs(self.cond_sum_eval(n, x, basis)))
-        return out
-
-    # --- generic grid interface ---
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        f = GridFunction(values)
-        return apply_kernel_circle(f, self.a).values
-
-    def mu(self, values: np.ndarray) -> float:
-        return float(np.trapezoid(values, dx=1.0 / self.n_points))
-
-
 class FiniteStateKernel(Kernel):
     """Finite-state chain: apply = P @ v, mu = pi . v."""
 
@@ -422,27 +312,133 @@ def _lagrange_rows(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sup_matrix(n: int) -> np.ndarray:
-    """Evaluation matrix from n Chebyshev values to the SUP_GRID + 1 uniform
-    points; one per n, shared by every kernel."""
-    m = _lagrange_rows(chebyshev_nodes(n), np.linspace(0.0, 1.0, SUP_GRID + 1))
+    """(n, SUP_GRID + 1) evaluation matrix from n Chebyshev values to the
+    uniform grid j/SUP_GRID; one per n, shared by every kernel."""
+    m = np.ascontiguousarray(
+        _lagrange_rows(chebyshev_nodes(n), np.linspace(0.0, 1.0, SUP_GRID + 1)).T)
     m.setflags(write=False)
     return m
 
 
-class ChebyshevKernel(Kernel):
+class _CollocationKernel(Kernel):
+    """`apply` is one product with `matrix` and `mu` one with its left Perron
+    vector `weights`; `sup` reads the max on the nodes and, through the
+    C-contiguous (nodes, SUP_GRID + 1) evaluation matrix `grid`, on the
+    uniform grid j/SUP_GRID."""
+
+    def __init__(self, matrix: np.ndarray, weights: np.ndarray, nodes: np.ndarray,
+                 grid: np.ndarray):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.weights = weights
+        self.nodes = nodes
+        self.grid = grid
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.matrix @ np.asarray(values, dtype=float)
+
+    def mu(self, values: np.ndarray) -> float:
+        return float(self.weights @ np.asarray(values, dtype=float))
+
+    def sup(self, values: np.ndarray):
+        v = np.asarray(values, dtype=float)
+        rows = np.atleast_2d(v)
+        out = np.abs(rows).max(axis=-1)
+        # 64 rows at a time: the grid values of a whole orbit would take
+        # rows x 4097 floats (134 MB for a 4096-step orbit)
+        for s in range(0, rows.shape[0], 64):
+            on_grid = rows[s:s + 64] @ self.grid
+            top = np.abs(on_grid, out=on_grid).max(axis=-1)
+            np.maximum(out[s:s + 64], top, out=out[s:s + 64])
+        return out[0] if v.ndim == 1 else out
+
+
+class CircleFourierKernel(_CollocationKernel):
+    """Kf(x) = (f(x+a) + f(x-a))/2 on the circle, by trigonometric collocation.
+
+    The observable Re sum_k c_k e(kx) comes as {k: c_k}. With K = max |k|,
+    functions are carried by their degree-2K trigonometric interpolant at the
+    n = 4K + 1 nodes j/n (n odd: real, no Nyquist mode). Mode k is multiplied
+    by cos(2 pi k a), so `apply` is the matrix
+        (1 + 2 sum_{k=1}^{2K} cos(2 pi k a) cos(2 pi k (x_i - x_j))) / n,
+    exact on degree <= 2K, as `mu` (the node mean) is; `eval` goes by FFT.
+    """
+
+    def __init__(self, a: float, coeffs: dict):
+        self.a = float(a)
+        self.coeffs = {int(k): complex(c) for k, c in coeffs.items()}
+        for k, c in list(self.coeffs.items()):
+            conj = self.coeffs.get(-k)
+            if conj is None or abs(np.conj(c) - conj) > 1e-12 * (1 + abs(c)):
+                raise ValueError("coefficients must be Hermitian (real-valued f)")
+        top = max(map(abs, self.coeffs), default=0)
+        if top > CIRCLE_MAX_MODE:
+            raise ValueError(f"Fourier mode {top} exceeds {CIRCLE_MAX_MODE}: the kernel "
+                             f"would need {4 * top + 1} nodes")
+        n = 4 * top + 1
+        k = np.arange(1, (n + 1) // 2)[:, None]  # modes 1..2K
+
+        def waves(period, points):
+            # cos and sin of 2 pi k j / period for j < points, the phase k j mod period exact
+            angle = 2.0 * np.pi * (k * np.arange(points) % period) / period
+            return np.cos(angle), np.sin(angle)
+
+        (cx, sx), (cy, sy) = waves(n, n), waves(SUP_GRID, SUP_GRID + 1)
+        m = np.cos(2.0 * np.pi * k * self.a)
+        # cos 2 pi k (x - y) = cos 2 pi k x cos 2 pi k y + sin 2 pi k x sin 2 pi k y
+        matrix = (1.0 + 2.0 * (cx.T @ (m * cx) + sx.T @ (m * sx))) / n
+        grid = (1.0 + 2.0 * (cx.T @ cy + sx.T @ sy)) / n
+        # the matrix is symmetric with unit row sums, so its Perron vector is uniform
+        super().__init__(matrix, np.full(n, 1.0 / n), np.arange(n) / n, grid)
+
+    @staticmethod
+    def eval_coeffs(coeffs: dict, x) -> np.ndarray:
+        """Re sum_k c_k e(kx), in real arithmetic: each +/-k pair gives
+        (Re c_k + Re c_-k) cos 2 pi k x - (Im c_k - Im c_-k) sin 2 pi k x."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        c0 = coeffs.get(0)
+        if c0 is not None:
+            out += complex(c0).real
+        # every mode's angle and term are computed in these two buffers
+        angle, term = np.empty_like(x), np.empty_like(x)
+        for k in sorted({abs(int(k)) for k in coeffs} - {0}):
+            cp, cm = complex(coeffs.get(k, 0.0)), complex(coeffs.get(-k, 0.0))
+            re, im = cp.real + cm.real, cp.imag - cm.imag
+            np.multiply(2.0 * np.pi * k, x, out=angle)
+            if re != 0.0:
+                out += np.multiply(re, np.cos(angle, out=term), out=term)
+            if im != 0.0:
+                out -= np.multiply(im, np.sin(angle, out=term), out=term)
+        return out
+
+    def centered_coeffs(self) -> dict:
+        return {k: c for k, c in self.coeffs.items() if k != 0}
+
+    def eval(self, values: np.ndarray, y) -> np.ndarray:
+        c = np.fft.rfft(np.asarray(values, dtype=float)) / self.nodes.size
+        # one-sided: mode k > 0 carries c_k + conj(c_-k) = 2 c_k
+        return self.eval_coeffs({0: c[0], **{k: 2.0 * c[k] for k in range(1, c.size)}}, y)
+
+    def cond_sum_sup_norms(self, n_max: int) -> np.ndarray:
+        """||sum_{s<=n} K^s f_c||_inf for n = 1..n_max, f_c the centered observable."""
+        return conditional_sum_norm_profile(
+            self, self.eval_coeffs(self.centered_coeffs(), self.nodes), n_max)
+
+
+class ChebyshevKernel(_CollocationKernel):
     """Collocation matrix of a Markov operator on N Chebyshev points of [0,1].
 
     Row i holds the weights of (Kf)(x_i) on the node values of f, with f
     interpolated by its degree N-1 polynomial. `mu` is the matrix's left
-    Perron vector, so mu(K f) = mu(f) to rounding; `eval` is barycentric
-    interpolation and `sup` reads the max on the uniform grid j/SUP_GRID as
-    well as on the nodes. Build with `integer_beta`, `gauss` or `iterated`.
+    Perron vector, so mu(K f) = mu(f) to rounding, and `eval` is barycentric
+    interpolation. Build with `integer_beta`, `gauss` or `iterated`.
     """
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.nodes = chebyshev_nodes(self.matrix.shape[0])
-        self.weights = stationary_distribution(self.matrix)
+        matrix = np.asarray(matrix, dtype=float)
+        n = matrix.shape[0]
+        super().__init__(matrix, stationary_distribution(matrix), chebyshev_nodes(n),
+                         _sup_matrix(n))
 
     @classmethod
     def integer_beta(cls, beta: int) -> "ChebyshevKernel":
@@ -505,7 +501,7 @@ class ChebyshevKernel(Kernel):
         off by far more than rounding, so it is refused with a ValueError.
         """
         fx = np.asarray(f(np.linspace(0.0, 1.0, SUP_GRID + 1)), dtype=float)
-        on_grid = _sup_matrix(self.nodes.size) @ np.asarray(f(self.nodes), dtype=float)
+        on_grid = np.asarray(f(self.nodes), dtype=float) @ self.grid
         err = float(np.max(np.abs(on_grid - fx)))
         if err > 1e-10 * float(np.max(np.abs(fx))):
             raise ValueError(f"observable is not resolved by the {self.nodes.size}-point "
@@ -513,27 +509,9 @@ class ChebyshevKernel(Kernel):
                              "observables need the uniform-grid kernels")
         return fx
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(values, dtype=float)
-
-    def mu(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
-
     def eval(self, values: np.ndarray, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return (_lagrange_rows(self.nodes, y) @ np.asarray(values, dtype=float)).reshape(y.shape)
-
-    def sup(self, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        rows = np.atleast_2d(v)
-        grid = _sup_matrix(self.nodes.size)
-        out = np.abs(rows).max(axis=-1)
-        # 64 rows at a time: the grid values of a whole orbit would take
-        # rows x 4097 floats (134 MB for a 4096-step orbit)
-        for s in range(0, rows.shape[0], 64):
-            on_grid = rows[s:s + 64] @ grid.T
-            out[s:s + 64] = np.maximum(out[s:s + 64], np.abs(on_grid).max(axis=-1))
-        return out[0] if v.ndim == 1 else out
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:

@@ -216,6 +216,46 @@ def test_inequality_without_bound_is_config_error(tmp_path, capsys):
     assert "missing params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task,model,params", [
+    ("sigma2", {"kind": "iid"}, {"method": "var_sn", "n_grid": [100, "x"]}),
+    ("mdp-scan", {"kind": "iid"}, {"n_grid": [100], "x_grid": [1.0], "sigma2": "one"}),
+    ("mdp-scan", {"kind": "iid"}, {"n_grid": [100], "x_grid": ["1"], "sigma2": 1.0}),
+    ("conditions", {"kind": "circle", "a": "golden"}, {"floor": "x"}),
+    ("diophantine", None, {"a": {"kind": "quadratic", "P": 0, "D": "5", "Q": 1}}),
+    ("diophantine", None, {"a": {"kind": "quadratic", "P": 0, "D": 5, "Q": "1"}}),
+    ("diophantine", None, {"a": {"kind": "literal", "literal": "abc", "radius": 1e-6}}),
+    ("conditions", {"kind": "circle", "a": "golden", "coeffs": {"5000": 0.5, "-5000": 0.5}},
+     {"n_max": 4}),
+    ("inequality", {"kind": "iid"}, {"bound": {"kind": "azuma", "c": 1.0},
+                                     "thresholds": "abc"}),
+    ("sigma2", None, {"method": "fourier_closed_form", "coeffs": {"1": 0.5, "-1": 0.5},
+                      "a": "x"}),
+    ("sigma2", None, {"method": "fourier_closed_form", "coeffs": {"1": "half"}, "a": 0.6}),
+    ("sigma2", None, {"method": "fourier_closed_form", "coeffs": {"1": [0.5]}, "a": 0.6}),
+    ("simulate", {"kind": "iid"}, {"n": True}),
+    ("conditions", {"kind": "circle", "a": "golden"}, {"check": ["bis"]}),
+])
+def test_malformed_param_types_are_config_errors(tmp_path, capsys, task, model, params):
+    cfg = {"task": task, "params": params, "output_dir": str(tmp_path / "out")}
+    if model is not None:
+        cfg["model"] = model
+    assert main(["run", write_cfg(tmp_path, "typed.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_transfer_decay_refuses_the_circle(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "circle.json", {
+        "task": "transfer-decay",
+        "model": {"kind": "circle", "a": "golden"},
+        "params": {"n_max": 16},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 3
+    assert "not a function on the circle" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "decay.csv").exists()
+
+
 def test_missing_config_file():
     assert main(["run", "/nonexistent/nope.json"]) == 2
 

@@ -24,7 +24,7 @@ from mdplab.processes import (
     make_expanding_map,
     make_iid,
 )
-from mdplab.transfer import stationary_distribution
+from mdplab.transfer import SUP_GRID, dust_floor, stationary_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,39 @@ def test_circle_walk_projective_conditions_exact_route():
     alpha = abs(np.cos(2 * np.pi * GOLDEN))
     n = np.arange(1, 257, dtype=float)
     assert np.allclose(b.terms, n ** -0.5 * alpha**n, atol=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1: 0.5, -1: 0.5},
+    {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1, 5: -0.05j, -5: 0.05j},
+])
+def test_circle_bis_and_mw_norms_equal_the_mode_closed_forms(coeffs):
+    # K multiplies mode k by m_k = cos 2 pi k a, so K^n f and sum_{s<=n} K^s f
+    # have closed-form coefficients; their sup is read where the kernel
+    # reads it, on its nodes and on the uniform grid j/SUP_GRID
+    model = make_circle_walk(CircleWalkSpec(a=GOLDEN, coeffs=coeffs))
+    kernel, n_max = model.kernel, 256
+    x = np.concatenate([kernel.nodes, np.linspace(0.0, 1.0, SUP_GRID + 1)])
+    ks = np.array(sorted(coeffs))
+    c = np.array([coeffs[k] for k in ks])
+    m = np.cos(2 * np.pi * ks * GOLDEN)
+    n = np.arange(1, n_max + 1)[:, None]
+    waves = np.exp(2j * np.pi * np.outer(ks, x))
+
+    def sup(mode_coeffs):
+        return np.max(np.abs((mode_coeffs @ waves).real), axis=1)
+
+    powers = sup(c * m**n)
+    sums = sup(c * m * (1 - m**n) / (1 - m))
+    bis = check_bis(model, n_max=n_max)
+    # check_bis zeroes terms at or below its dust floor, so that is the
+    # absolute tolerance of the comparison
+    floor = dust_floor(model.centered_observable())
+    assert np.allclose(bis.terms, n[:, 0] ** -0.5 * powers, rtol=1e-13, atol=floor)
+    assert bis.terms[0] > 1e3 * floor
+    mw = check_mw(model, n_max=n_max)
+    assert np.allclose(mw.extra["cond_sum_norms"], sums, rtol=1e-13, atol=0.0)
+    assert np.allclose(kernel.cond_sum_sup_norms(n_max), sums, rtol=1e-13, atol=0.0)
 
 
 def test_s2inf_decreases_for_iid():

@@ -9,9 +9,10 @@ from mdplab.transfer import (
     GridFunction,
     IntegerBetaPFKernel,
     IteratedFunctionKernel,
-    apply_kernel_circle,
+    SUP_GRID,
     apply_pf_integer_beta,
     check_bv_contraction,
+    conditional_square_norm,
     conditional_sum_norm,
     conditional_sum_norm_profile,
     modulus_bound_check,
@@ -66,14 +67,6 @@ def test_pf_kills_odd_harmonic_exactly():
     assert np.max(np.abs(out.values)) < 1e-13
 
 
-def test_rotation_operator_shifts():
-    g = GridFunction.from_callable(lambda x: np.cos(2 * np.pi * x), n_points=2048)
-    out = apply_kernel_circle(g, 0.25)
-    # (K f)(x) = (f(x+a) + f(x-a))/2 = cos(2 pi a) cos(2 pi x)
-    expect = np.cos(2 * np.pi * 0.25) * g.values
-    assert np.max(np.abs(out.values - expect)) < 1e-10
-
-
 def test_total_variation_hand_values():
     g = GridFunction(values=np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
     assert total_variation_norm(g) == pytest.approx(4.0)
@@ -104,25 +97,60 @@ def test_gauss_kernel_invariant_measure():
     assert k.mu(k.apply(f)) == pytest.approx(k.mu(f), abs=1e-6)
 
 
-def test_circle_kernel_multiplier_and_powers():
-    k = CircleFourierKernel(GOLDEN, {1: 0.5, -1: 0.5})
-    m = np.cos(2 * np.pi * GOLDEN)
-    assert k.multiplier(1) == pytest.approx(m, abs=1e-14)
-    # K^n f has sup norm 2 * 0.5 * |m|^n for the single-mode pair
-    sup = k.sup_norm_powers(16)
-    assert np.allclose(sup, np.abs(m) ** np.arange(1, 17), atol=1e-12)
-
-
 def test_circle_kernel_cond_sum_matches_geometric_series():
     k = CircleFourierKernel(GOLDEN, {1: 0.5, -1: 0.5})
     m = np.cos(2 * np.pi * GOLDEN)
     x = 0.1234
     n = 12
     direct = sum(m**j * np.cos(2 * np.pi * (x)) for j in range(1, n + 1))
-    got = k.cond_sum_eval(n, np.array([x]))[0]
+    f = np.cos(2 * np.pi * k.nodes)
+    got = k.eval(np.sum(orbit(k, f, n), axis=0), np.array([x]))[0]
     assert got == pytest.approx(m * (1 - m**n) / (1 - m) * np.cos(2 * np.pi * x),
                                 abs=1e-12)
     assert got == pytest.approx(direct, abs=1e-12)
+
+
+MULTI_MODE = {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1, 5: -0.05j, -5: 0.05j}
+
+
+@pytest.mark.parametrize("coeffs", [{1: 0.5, -1: 0.5}, MULTI_MODE, {0: 0.25, 3: 1j, -3: -1j}])
+def test_circle_kernel_nodes_mu_and_eval_are_exact(coeffs):
+    k = CircleFourierKernel(GOLDEN, coeffs)
+    top = max(abs(q) for q in coeffs)
+    assert k.nodes.size == 4 * top + 1
+    assert np.array_equal(k.nodes, np.arange(k.nodes.size) / k.nodes.size)
+    f = CircleFourierKernel.eval_coeffs(coeffs, k.nodes)
+    assert k.mu(f) == pytest.approx(complex(coeffs.get(0, 0.0)).real, abs=1e-16)
+    tol = 8 * np.finfo(float).eps * sum(abs(c) for c in coeffs.values())
+    y = np.random.default_rng(11).uniform(-0.5, 1.5, 500)
+    assert np.max(np.abs(k.eval(f, y) - CircleFourierKernel.eval_coeffs(coeffs, y))) <= tol
+    # one step multiplies mode k by cos 2 pi k a, on the nodes and between them
+    stepped = {q: c * np.cos(2 * np.pi * q * GOLDEN) for q, c in coeffs.items()}
+    assert np.max(np.abs(k.apply(f) - CircleFourierKernel.eval_coeffs(stepped, k.nodes))) <= tol
+    assert np.max(np.abs(k.eval(k.apply(f), y)
+                         - CircleFourierKernel.eval_coeffs(stepped, y))) <= tol
+
+
+@pytest.mark.parametrize("coeffs", [{1: 0.5, -1: 0.5}, MULTI_MODE])
+def test_circle_conditional_square_norm_equals_coin_enumeration(coeffs):
+    # E_x S_n^2 over all 2^n coin sequences. Path p visits x + a m_s, m_s its
+    # integer position after s steps, so S_p(x) = sum_k c_k e(kx) Z_pk with
+    # Z_pk = sum_s e(k a m_s), and E_x S_n^2 = sum_{k,l} c_k c_l e((k+l)x) E Z_k Z_l
+    n = 10
+    k = CircleFourierKernel(GOLDEN, coeffs)
+    coins = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    walk = np.cumsum(2 * coins - 1, axis=1)
+    ks = np.array(sorted(coeffs))
+    c = np.array([coeffs[q] for q in ks])
+    Z = np.exp(2j * np.pi * GOLDEN * walk[:, :, None] * ks).sum(axis=1)
+    moments = Z.T @ Z / (1 << n)
+    x = np.concatenate([k.nodes, np.linspace(0.0, 1.0, SUP_GRID + 1)])
+    waves = np.exp(2j * np.pi * np.outer(x, ks))
+    ex_sn2 = np.einsum("xk,xl,kl->x", waves * c, waves * c, moments).real
+    sigma2 = 0.07
+    want = np.max(np.abs(ex_sn2 / n - sigma2))
+    f = CircleFourierKernel.eval_coeffs(coeffs, k.nodes)
+    assert conditional_square_norm(k, f, n, sigma2) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_finite_state_kernel_against_eigen_oracle():
@@ -219,8 +247,8 @@ def test_circle_eval_coeffs_matches_complex_sum():
 
 
 
-def _eval_coeffs_with_temporaries(coeffs, x, basis=None):
-    # the expression eval_coeffs evaluated before it used one scratch buffer
+def _eval_coeffs_with_temporaries(coeffs, x):
+    # the expression eval_coeffs evaluated before it used scratch buffers
     out = np.zeros_like(x)
     if 0 in coeffs:
         out += complex(coeffs[0]).real
@@ -228,9 +256,9 @@ def _eval_coeffs_with_temporaries(coeffs, x, basis=None):
         cp, cm = complex(coeffs.get(k, 0.0)), complex(coeffs.get(-k, 0.0))
         re, im = cp.real + cm.real, cp.imag - cm.imag
         if re != 0.0:
-            out += re * (np.cos(2.0 * np.pi * k * x) if basis is None else basis[k][0])
+            out += re * np.cos(2.0 * np.pi * k * x)
         if im != 0.0:
-            out -= im * (np.sin(2.0 * np.pi * k * x) if basis is None else basis[k][1])
+            out -= im * np.sin(2.0 * np.pi * k * x)
     return out
 
 
@@ -239,28 +267,8 @@ def test_circle_eval_coeffs_scratch_buffer_is_bit_identical(shape):
     x = np.random.default_rng(5).uniform(-0.5, 1.5, shape)
     coeffs = {0: 0.25, 1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1 + 0.4j,
               3: -0.1j, -3: 0.1j, 7: 0.05 - 0.01j}
-    # the basis is built once per mode, as sup_norm_powers builds it
-    modes = CircleFourierKernel(GOLDEN, {k: 1.0 for k in (-7, -3, -2, -1, 1, 2, 3, 7)})
-    basis = modes._mode_basis(x)
     assert np.array_equal(CircleFourierKernel.eval_coeffs(coeffs, x),
                           _eval_coeffs_with_temporaries(coeffs, x))
-    assert np.array_equal(CircleFourierKernel.eval_coeffs(coeffs, x, basis),
-                          _eval_coeffs_with_temporaries(coeffs, x, basis))
-
-
-def test_circle_sup_norms_bit_identical_to_per_n_evaluation():
-    # the mode basis is computed once per mode; each n must still give the
-    # bits of a fresh eval_coeffs call on that n's coefficients
-    x = np.linspace(0.0, 1.0, 8192, endpoint=False)
-    for coeffs in ({1: 0.5, -1: 0.5},
-                   {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1, 5: -0.05j, -5: 0.05j}):
-        k = CircleFourierKernel(GOLDEN, coeffs)
-        centered = k.centered_coeffs()
-        powers = [np.max(np.abs(k.eval_coeffs(k.power_coeffs(n, centered), x)))
-                  for n in range(1, 65)]
-        sums = [np.max(np.abs(k.cond_sum_eval(n, x))) for n in range(1, 65)]
-        assert list(k.sup_norm_powers(64)) == powers
-        assert list(k.cond_sum_sup_norms(64)) == sums
 
 
 # ---------------------------------------------------------------------------
