@@ -52,7 +52,7 @@ _PARAM_KEYS = {
     "inequality": {"bound", "thresholds", "replicas", "n"},
     "mdp-scan": {"gamma", "n_grid", "x_grid", "method", "sigma2", "replicas"},
     "diophantine": {"a", "action", "K", "eps"},
-    "transfer-decay": {"f", "n_max"},
+    "transfer-decay": {"n_max"},
     "decompose": {"n", "m"},
 }
 
@@ -157,15 +157,13 @@ def _run_task(cfg: dict, out_dir: str) -> int:
     if task == "simulate":
         n = params.get("n", 1024)
         reps = params.get("replicas", 100)
-        # one checked path per replica stream named("simulate", r), gathered
-        # into a reused block of about 2^16 values that is summed in one pass
-        block = np.empty((min(reps, max(1, BATCH_CHUNK_VALUES // n)), n))
+        # one path per replica stream named("simulate", r), drawn and checked
+        # in blocks of about 2^16 values, each summed in one pass
+        height = max(1, BATCH_CHUNK_VALUES // n)
         rows = []
-        for start in range(0, reps, len(block)):
-            stop = min(start + len(block), reps)
-            s = block[:stop - start]
-            for i, r in enumerate(range(start, stop)):
-                s[i] = model.sample(n, stream.named("simulate", r)).values
+        for start in range(0, reps, height):
+            stop = min(start + height, reps)
+            s = model.sample_rows(n, [stream.named("simulate", r) for r in range(start, stop)])
             np.cumsum(s, axis=1, out=s)
             s_n = s[:, -1].tolist()
             peak = np.abs(s, out=s).max(axis=1).tolist()

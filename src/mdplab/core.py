@@ -48,6 +48,64 @@ def _derive(parent: int, tag: str, key: str) -> int:
     return int.from_bytes(h.digest(), "big") >> 1
 
 
+# numpy's SeedSequence hash: a pool of four 32-bit words and these constants
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _philox_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """(len(indices), 2) uint64 array whose row i is the Philox key of
+    RngStream(master_seed, indices[i]).generator(), for uint64 indices.
+
+    This is the hash of SeedSequence(master_seed, spawn_key=(i,)) followed by
+    generate_state(2, uint64), run over all indices at once. Its entropy
+    words are the seed's 32-bit words, zero-padded to the pool size 4, then
+    i's one word (i < 2^32) or two. The hash constant advances the same way
+    for every index, so only the data are arrays.
+    """
+    if master_seed < 0:
+        raise ValueError("the master seed must be nonnegative")
+    seed_words = []
+    while master_seed or len(seed_words) < 4:
+        seed_words.append(master_seed & _M32)
+        master_seed >>= 32
+    high = (indices >> np.uint64(32)).astype(np.uint32)
+    words = [np.full(indices.shape, w, dtype=np.uint32) for w in seed_words]
+    words += [(indices & np.uint64(_M32)).astype(np.uint32), high]
+    const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _SS_MULT_A & _M32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        r = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return r ^ r >> np.uint32(16)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        mixed = [mix(p, hashmix(w)) for p in pool]
+        # an index below 2^32 has no high word to mix in
+        pool = [np.where(high > 0, m, p) for m, p in zip(mixed, pool)] if w is high else mixed
+    out = []
+    const = _SS_INIT_B
+    for p in pool:
+        p = p ^ np.uint32(const)
+        const = const * _SS_MULT_B & _M32
+        p = p * np.uint32(const)
+        out.append((p ^ p >> np.uint32(16)).astype(np.uint64))
+    return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A substream of a master seed.
@@ -134,8 +192,9 @@ class ProcessModel:
     tracks an underlying Markov state. With reps=None the values are one path
     of shape (n,); with an integer reps they are a block of shape (reps, n),
     one independent stationary path per row, drawn in one pass from the same
-    generator. States follow the values' leading shape. `sample` and
-    `sample_block` are the checked entry points: they enforce the shape and
+    generator. States follow the values' leading shape; a block may omit
+    states, since no caller reads them. `sample`, `sample_block` and
+    `sample_rows` are the checked entry points: they enforce the shape and
     the bound |x| <= bound on every value, which no nan or inf meets.
     `kernel` (optional) carries exact conditional-expectation machinery;
     see mdplab.transfer for the kernel interface.
@@ -147,11 +206,16 @@ class ProcessModel:
     kernel: Optional[Any] = None
     meta: dict = field(default_factory=dict)
 
-    def _checked(self, out, shape: tuple):
+    @staticmethod
+    def _shaped(out, shape: tuple):
         values, states = out if isinstance(out, tuple) else (out, None)
         values = np.asarray(values, dtype=float)
         if values.shape != shape:
             raise RuntimeError(f"sampler returned shape {values.shape}, expected {shape}")
+        return values, states
+
+    def _checked(self, out, shape: tuple):
+        values, states = self._shaped(out, shape)
         amax = float(np.maximum(np.max(values), -np.min(values)))  # no |values| copy
         if not amax <= self.bound * (1 + 1e-12):  # a nan anywhere makes amax nan
             raise RuntimeError(
@@ -170,6 +234,36 @@ class ProcessModel:
         if n < 1 or reps < 1:
             raise ValueError("n and reps must be >= 1")
         return self._checked(self.sampler(n, rng, reps), (reps, n))[0]
+
+    def sample_rows(self, n: int, streams: Sequence[RngStream]) -> np.ndarray:
+        """(len(streams), n) array whose row i is the one-row block drawn from
+        streams[i].generator(), which equals `sample(n, streams[i]).values`.
+
+        The streams share one master seed. Their keys come from one
+        `_philox_keys` pass, and one Philox generator, reset to each key in
+        turn, stands in for the streams' own: the same draws without building
+        a generator per row. Each row's shape is checked as it is drawn, the
+        bound once over the whole block.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        seeds = {stream.master_seed for stream in streams}
+        if len(seeds) > 1:
+            raise ValueError("sample_rows needs streams of one master seed")
+        block = np.empty((len(streams), n))
+        if not streams:
+            return block
+        keys = _philox_keys(seeds.pop(), np.array([s.stream_index for s in streams],
+                                                   dtype=np.uint64))
+        bitgen = np.random.Philox(0)
+        rng = np.random.Generator(bitgen)
+        fresh = bitgen.state  # counter 0, nothing buffered
+        for row, key in zip(block, keys):
+            fresh["state"]["key"] = key
+            bitgen.state = fresh
+            values, _ = self._shaped(self.sampler(n, rng, 1), (1, n))
+            row[:] = values[0]
+        return self._checked(block, block.shape)[0]
 
     def sample_batch(self, n: int, replicas: int, stream: RngStream) -> np.ndarray:
         """(replicas, n) array of values, drawn through `map_replicas` in

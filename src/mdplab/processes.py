@@ -12,7 +12,6 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -220,6 +219,12 @@ def _shape(reps: Optional[int], length: int) -> tuple:
     return (length,) if reps is None else (reps, length)
 
 
+# bit generators whose raw output is one uniform 64-bit word: for them
+# `random_raw` gives the words of integers(0, 2**64, dtype=uint64) without
+# that call's fixed cost (MT19937's raw output is 32 bits wide)
+_RAW64 = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+
+
 def _fair_bits(rng: np.random.Generator, shape) -> np.ndarray:
     """uint8 array of iid fair 0/1 bits, 64 per generator word.
 
@@ -230,7 +235,10 @@ def _fair_bits(rng: np.random.Generator, shape) -> np.ndarray:
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     n = int(shape[-1])
-    words = rng.integers(0, 2**64, shape[:-1] + (-(-n // 64),), dtype=np.uint64)
+    size = shape[:-1] + (-(-n // 64),)
+    bitgen = rng.bit_generator
+    words = bitgen.random_raw(size) if isinstance(bitgen, _RAW64) \
+        else rng.integers(0, 2**64, size, dtype=np.uint64)
     return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
                          count=n, bitorder="little")
 
@@ -348,9 +356,14 @@ def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
         if reps is None:
             y = _ar1_path(y0, drive, rho)
         else:
-            # the recurrence runs over time; each step updates every row at once
-            y = np.array(list(accumulate(drive, lambda prev, d: rho * prev + d, initial=y0)))
-            y = np.moveaxis(y, 0, -1)
+            # the recurrence runs over time; each step updates every row at
+            # once, in place: rho * y, then + d, as in the single path
+            y = np.empty((len(drive) + 1, reps))
+            y[0] = y0
+            for t, d in enumerate(drive):
+                np.multiply(y[t], rho, out=y[t + 1])
+                y[t + 1] += d
+            y = y.T
         # n+1 states: y[..., burn-1] is the pre-observation state
         return obs(y[..., burn:]), y[..., burn - 1:]
 
@@ -517,16 +530,18 @@ def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
         lo = int(walk.min())
         walk -= lo  # index into the visited range lo..max
         frac = fractions(np.arange(lo, lo + int(walk.max()) + 1))
-        # xi_k = frac(xi0 + a m_k) in exact integers mod 2^D, rounded once;
-        # n+1 states: xi0 first, so conditioning on the pre-walk position works
-        states = np.empty((rows, n + 1))
-        states[:, 0] = xi0
-        pos = frac.take(walk)
-        pos += scaled(xi0)[:, None]
-        pos &= mask
-        states[:, 1:] = pos
-        del pos
-        states[:, 1:] *= 2.0**-d
+        if reps is None:
+            # a single path keeps its states (a block omits them):
+            # xi_k = frac(xi0 + a m_k) in exact integers mod 2^D, rounded once;
+            # n+1 states: xi0 first, so conditioning on the pre-walk position works
+            states = np.empty(n + 1)
+            states[0] = xi0[0]
+            pos = frac.take(walk[0])
+            pos += scaled(xi0)[0]
+            pos &= mask
+            states[1:] = pos
+            del pos
+            states[1:] *= 2.0**-d
         # values: f at frac(xi0 + a j) for every row and visited j, as
         # Re sum_k c_k e(k xi0) e(k frac(a j)), then one gather per value:
         # no cos and no mod per value
@@ -540,9 +555,7 @@ def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
         # each value overwrites its own index (take reads index i before it
         # writes item i; mode="clip" takes no defensive copy)
         values = table.ravel().take(walk, out=walk.view(np.float64), mode="clip")
-        if reps is None:
-            return values[0], states[0]
-        return values, states
+        return (values[0], states) if reps is None else values
 
     return ProcessModel(name="circle_walk", bound=bound * (1 + 1e-9), sampler=sampler,
                         kernel=kernel, meta={"a": spec.a, "coeffs": dict(centered),

@@ -54,12 +54,16 @@ def test_simulate_task_writes_csv_and_manifest(tmp_path):
     assert (out / "timing.json").exists()
 
 
-@pytest.mark.parametrize("law", ["rademacher", "uniform"])
-def test_simulate_rows_are_the_named_replica_paths(tmp_path, law):
+@pytest.mark.parametrize("model_cfg", [
+    pytest.param({"kind": "iid", "law": "rademacher"}, id="rademacher"),
+    pytest.param({"kind": "iid", "law": "uniform"}, id="uniform"),
+    pytest.param({"kind": "circle", "a": "golden"}, id="circle"),
+])
+def test_simulate_rows_are_the_named_replica_paths(tmp_path, model_cfg):
     # 2^16 // 4096 = 16 rows a block: three blocks, the last one short;
-    # uniform values make the partial sums depend on the order of addition
+    # uniform values make the partial sums depend on the order of addition;
+    # the circle's one-row blocks omit the states its single paths carry
     n, reps, seed = 4096, 40, 11
-    model_cfg = {"kind": "iid", "law": law}
     cfg = write_cfg(tmp_path, "sim.json", {
         "task": "simulate", "seed": seed, "model": model_cfg,
         "params": {"n": n, "replicas": reps}, "output_dir": str(tmp_path / "out"),
@@ -254,6 +258,22 @@ def test_transfer_decay_refuses_the_circle(tmp_path, capsys):
     assert main(["run", cfg]) == 3
     assert "not a function on the circle" in capsys.readouterr().err
     assert not (tmp_path / "out" / "decay.csv").exists()
+
+
+def test_transfer_decay_refuses_an_observable_param(tmp_path, capsys):
+    # the task always decays the centred state value, so an `f` it would
+    # ignore is an unknown param, and the schema does not offer one
+    cfg = write_cfg(tmp_path, "f.json", {
+        "task": "transfer-decay",
+        "model": {"kind": "expanding", "map": "doubling"},
+        "params": {"f": "x**2", "n_max": 16},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 2
+    assert "unknown params for task transfer-decay: ['f']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "decay.csv").exists()
+    assert main(["print-schema"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["transfer-decay"] == ["n_max"]
 
 
 def test_missing_config_file():

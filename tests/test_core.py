@@ -49,6 +49,21 @@ def test_stream_rule_pinned_indices():
     assert RngStream(5).named("foo", 2) != RngStream(5).named("foo", 3)
 
 
+def test_philox_keys_are_the_seed_sequence_keys():
+    # the vectorised hash against numpy's SeedSequence: seeds of one to five
+    # words, indices of one word, two words and the extremes
+    indices = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+    indices += [RngStream(5).named("keys", r).stream_index for r in range(20)]
+    for seed in (0, 5, 2**32 + 1, 2**130 + 7):
+        keys = core._philox_keys(seed, np.array(indices, dtype=np.uint64))
+        want = [RngStream(seed, i).generator().bit_generator.state["state"]["key"]
+                for i in indices]
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, want)
+    with pytest.raises(ValueError):
+        core._philox_keys(-1, np.zeros(1, dtype=np.uint64))
+
+
 def test_named_stream_honours_its_parent():
     s = RngStream(5)
     x = s.named("a").named("x")
@@ -188,6 +203,31 @@ def test_sample_block_rejects_wrong_shape():
                          sampler=lambda n, rng, reps=None: np.zeros(n))
     with pytest.raises(RuntimeError, match="shape"):
         model.sample_block(8, 3, RngStream(0).generator())
+    with pytest.raises(RuntimeError, match="shape"):
+        model.sample_rows(8, [RngStream(0)])
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan])
+def test_sample_rows_checks_every_row_in_one_block_check(bad):
+    streams = [RngStream(5).named("rows", r) for r in range(5)]
+    bad_key = streams[3].generator().bit_generator.state["state"]["key"]
+
+    def sampler(n, rng, reps=None):
+        out = _coin_block(n, rng, reps)
+        if np.array_equal(rng.bit_generator.state["state"]["key"], bad_key):
+            out[..., n // 2] = bad  # one value of row 3 of 5
+        return out
+
+    model = ProcessModel(name="coin", bound=1.0, sampler=sampler)
+    rows = model.sample_rows(16, streams[:3])
+    assert rows.shape == (3, 16)
+    for row, stream in zip(rows, streams):
+        assert np.array_equal(row, model.sample(16, stream).values)
+    with pytest.raises(RuntimeError, match="exceeds bound"):
+        model.sample_rows(16, streams)
+    assert model.sample_rows(16, []).shape == (0, 16)
+    with pytest.raises(ValueError, match="one master seed"):
+        model.sample_rows(16, [RngStream(5), RngStream(6)])
 
 
 def test_chunk_workers_rule():

@@ -20,6 +20,7 @@ from mdplab.processes import (
     IteratedFunctionSpec,
     LinearProcessSpec,
     _digit_shift_orbit,
+    _RAW64,
     _fair_bits,
     age_chain_matrix,
     make_alternating_plus_iid,
@@ -207,6 +208,11 @@ def test_single_path_is_the_one_row_block(key):
     block = model.sample_block(n, 1, STREAM.named("one-row", n).generator())
     assert block.shape == (1, n)
     assert np.array_equal(block[0], path.values)
+    # sample_rows resets one generator per row; the second row sees no trace
+    # of the first row's draws
+    other = STREAM.named("one-row-b", n)
+    rows = model.sample_rows(n, [STREAM.named("one-row", n), other])
+    assert np.array_equal(rows, [path.values, model.sample(n, other).values])
 
 
 @pytest.mark.parametrize("key", sorted(BUILDS))
@@ -256,6 +262,19 @@ def test_fair_bits_unpack_the_first_word_low_bit_first():
     assert signs.tolist() == [2.0 * b - 1.0 for b in want]
 
 
+@pytest.mark.parametrize("bit_generator", _RAW64)
+def test_raw_words_are_the_full_range_integers(bit_generator):
+    # after a 32-bit draw, which leaves half a word buffered, and a double:
+    # neither path reads that buffered half
+    raw, ref = (np.random.Generator(bit_generator(2026)) for _ in range(2))
+    for rng in (raw, ref):
+        rng.integers(0, 2**32, dtype=np.uint32)
+        rng.random()
+    words = raw.bit_generator.random_raw((3, 5))
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, ref.integers(0, 2**64, (3, 5), dtype=np.uint64))
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
 def test_fair_bit_frequencies(bit_generator):
     # 2^22 bits; every bit position of a word is half ones, within 6 SE
@@ -282,7 +301,7 @@ def test_circle_states_are_the_correctly_rounded_exact_positions(step, n, reps):
     a = CIRCLE_STEPS[step]
     model = make_circle_walk(CircleWalkSpec(a=a, coeffs=MULTI_MODE))
     stream = STREAM.named(f"circle-exact-{step}", n)
-    values, states = model.sampler(n, stream.generator(), reps)
+    out = model.sampler(n, stream.generator(), reps)
     # reference: the same draws, in the same order, walked in exact rationals
     rng = stream.generator()
     rows = 1 if reps is None else reps
@@ -290,10 +309,14 @@ def test_circle_states_are_the_correctly_rounded_exact_positions(step, n, reps):
     walk = np.cumsum(_fair_bits(rng, (rows, n)).astype(int) * 2 - 1, axis=1)
     want = np.array([[float(x)] + [float((Fraction(x) + Fraction(a) * int(m)) % 1) for m in row]
                      for x, row in zip(xi0, walk)])
-    assert np.array_equal(np.atleast_2d(states), want)
-    # the values are the observable at those states, to rounding
+    if reps is None:
+        values, states = out
+        assert np.array_equal(states, want[0])
+    else:
+        values = out  # a block omits its states
+    # the values are the observable at the exact states, to rounding
     tol = 16 * np.finfo(float).eps * sum(abs(c) for c in MULTI_MODE.values())
-    direct = model.kernel.eval_coeffs(model.meta["coeffs"], np.atleast_2d(states)[:, 1:])
+    direct = model.kernel.eval_coeffs(model.meta["coeffs"], want[:, 1:])
     assert np.max(np.abs(np.atleast_2d(values) - direct)) <= tol
     if reps is None:
         block = model.sample_block(n, 1, stream.generator())
@@ -396,3 +419,19 @@ def test_iterated_path_equals_the_numpy_scalar_recurrence(n):
     y = np.array(list(accumulate(drive, lambda prev, d: rho * prev + d, initial=y0)))
     assert np.array_equal(path.values, obs(y[burn:]))
     assert np.array_equal(path.states, y[burn - 1:])
+
+
+@pytest.mark.parametrize("n,reps", [(1, 3), (7, 1), (300, 64)])
+def test_iterated_block_equals_the_accumulate_recurrence(n, reps):
+    # the block runs the recurrence in place, one time step for every row at
+    # once; it must give the bits of the accumulated row-vector formula
+    model = BUILDS["iterated"]()
+    rho, burn, obs = model.meta["rho"], model.meta["burn_in"], model.meta["observable"]
+    values, states = model.sampler(n, STREAM.named("iterated-2d", n).generator(), reps)
+    rng = STREAM.named("iterated-2d", n).generator()
+    eps = rng.random((reps, n + burn))
+    y0 = rng.random(reps)
+    drive = (1.0 - rho) * eps.T[1:]
+    y = np.array(list(accumulate(drive, lambda prev, d: rho * prev + d, initial=y0))).T
+    assert np.array_equal(values, obs(y[:, burn:]))
+    assert np.array_equal(states, y[:, burn - 1:])
