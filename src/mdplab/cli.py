@@ -211,7 +211,7 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         diag = fn(model, n_max=params.get("n_max", 256),
                   floor=params.get("floor", 0.0))
         write_csv(os.path.join(out_dir, f"condition_{check}.csv"),
-                  ("n", "term", "partial_sum"), diag.to_csv_rows()[1:])
+                  ("n", "term", "partial_sum"), diag.to_csv_rows())
         with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
             json.dump({"check": check, "verdict": diag.verdict,
                        "fit_kind": diag.fit_kind, "fit_param": diag.fit_param},
@@ -267,7 +267,7 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         f = nodes - kernel.mu(nodes)
         report = sup_norm_decay(kernel, f, params.get("n_max", 64))
         write_csv(os.path.join(out_dir, "decay.csv"),
-                  ("n", "u_n"), report.to_csv_rows()[1:])
+                  ("n", "u_n"), report.to_csv_rows())
         with open(os.path.join(out_dir, "decay_fit.json"), "w") as fh:
             json.dump({"kappa": report.kappa, "rho": report.rho,
                        "residual": report.residual, "diverged": report.diverged},
@@ -338,6 +338,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "suite":
+        if args.seed < 0:
+            print("config error: seed must be a nonnegative integer", file=sys.stderr)
+            return 2
         if args.name == "acceptance":
             results = run_suite(args.seed, out_dir=args.out_dir)
             print(format_results(results))

@@ -50,10 +50,9 @@ class SeriesDiagnostic:
         return np.cumsum(self.terms)
 
     def to_csv_rows(self):
-        rows = [("n", "term", "partial_sum")]
-        ps = self.partial_sums
-        rows += [(i + 1, float(t), float(s)) for i, (t, s) in enumerate(zip(self.terms, ps))]
-        return rows
+        """Data rows (n, term, partial_sum), without a header."""
+        return [(i + 1, float(t), float(s))
+                for i, (t, s) in enumerate(zip(self.terms, self.partial_sums))]
 
 
 def _r2(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -139,21 +138,13 @@ def diagnose_series(terms: np.ndarray, floor: float = 0.0) -> SeriesDiagnostic:
 
 def check_mw(model: ProcessModel, n_max: int = 512,
              floor: float = 0.0) -> SeriesDiagnostic:
-    """Sum over n of n^{-3/2} ||E(S_n | F_0)||_inf, exact for kernel models.
-
-    The report also carries the auxiliary dyadic norms used by the variance
-    identification (Delta-style columns).
-    """
+    """Sum over n of n^{-3/2} ||E(S_n | F_0)||_inf, exact for kernel models."""
     kernel, f = model.kernel, model.centered_observable()
     norms = conditional_sum_norm_profile(kernel, f, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     terms = n ** (-1.5) * norms
     diag = diagnose_series(terms, floor=max(floor, dust_floor(f)))
-    r = int(np.floor(np.log2(n_max)))
     diag.extra["cond_sum_norms"] = norms
-    diag.extra["dyadic_tail"] = np.array(
-        [2.0 ** (-j / 2) * norms[2**j - 1] for j in range(r + 1)])
-    diag.extra["x1sq_cond_norm"] = float(kernel.sup(kernel.apply(f * f) + kernel.noise_var))
     return diag
 
 

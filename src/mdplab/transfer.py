@@ -533,9 +533,8 @@ class DecayReport:
     diverged: bool = False
 
     def to_csv_rows(self):
-        rows = [("n", "u_n")]
-        rows += [(i + 1, float(ui)) for i, ui in enumerate(self.u)]
-        return rows
+        """Data rows (n, u_n), without a header."""
+        return [(i + 1, float(ui)) for i, ui in enumerate(self.u)]
 
 
 def orbit(kernel: Kernel, f: np.ndarray, n_max: int, center: bool = False) -> np.ndarray:

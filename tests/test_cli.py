@@ -24,10 +24,11 @@ def test_print_schema(capsys):
     assert "task" in schema and "params" in schema
 
 
-def test_cli_import_leaves_scipy_stats_and_signal_unloaded():
-    # scipy.stats costs about 0.7 s of import; scipy.signal imports it
-    code = ("import sys, mdplab.cli; "
-            "loaded = [m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules]; "
+def test_cli_import_stays_lean():
+    # scipy.stats costs about 0.7 s of import; scipy.signal imports it;
+    # mpmath is a test-only dependency, so the library must not need it
+    code = ("import sys, mdplab.cli; loaded = [m for m in "
+            "('scipy.stats', 'scipy.signal', 'mpmath') if m in sys.modules]; "
             "sys.exit(str(loaded) if loaded else 0)")
     src = os.path.dirname(os.path.dirname(mdplab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -282,6 +283,12 @@ def test_missing_config_file():
 
 def test_unknown_suite():
     assert main(["suite", "nope"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["demo", "acceptance"])
+def test_negative_suite_seed_is_config_error(suite, capsys):
+    assert main(["suite", suite, "--seed", "-1"]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_precision_refusal_exit_code(tmp_path):

@@ -4,7 +4,6 @@ import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
-import mpmath
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,6 +19,7 @@ from mdplab.processes import (
     IteratedFunctionSpec,
     LinearProcessSpec,
     _digit_shift_orbit,
+    _gauss_orbit,
     _RAW64,
     _fair_bits,
     age_chain_matrix,
@@ -123,6 +123,19 @@ def test_gauss_orbit_respects_map():
     for k in range(30):
         nxt = (1.0 / x[k]) % 1.0
         assert abs(nxt - x[k + 1]) < 1e-9
+
+
+def test_gauss_orbit_shift_residual_is_rounding():
+    # x_k is rounded once from an exact orbit, so frac(1/x_k) misses x_(k+1)
+    # by a few ulps of x_k scaled by the map's slope 1/x_k^2
+    x = _gauss_orbit(256, STREAM.named("gauss-residual").generator(), 200)
+    residual = np.abs((1.0 / x[:, :-1]) % 1.0 - x[:, 1:]) * x[:, :-1] ** 2
+    assert np.max(residual) <= 4e-16
+
+
+def test_gauss_orbit_ends_in_the_gauss_law():
+    x = _gauss_orbit(50, STREAM.named("gauss-ks").generator(), 2000)[:, -1]
+    assert stats.kstest(x, lambda t: np.log2(1.0 + t)).pvalue > 1e-3
 
 
 def test_circle_walk_values_and_states():
@@ -230,7 +243,7 @@ def test_block_rows_are_bounded_paths(key):
 
 
 @pytest.mark.parametrize("key", ["iid", "iid_uniform", "iid_two_point", "linear",
-                                 "linear_f", "doubling", "beta3"])
+                                 "linear_f", "doubling", "beta3", "gauss"])
 def test_block_equals_sequential_draws(key):
     # models without a per-path scalar draw give the stacked sequential paths
     model = BUILDS[key]()
@@ -394,14 +407,12 @@ def test_gauss_blocks_deterministic_under_the_chunk_pool(chunk_workers, workers)
         return model.sample_block(n, take, stream.child(ci).generator())
 
     serial = [block(ci) for ci in range(chunks)]
-    prec = mpmath.mp.prec
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the chunks as finely as possible
     try:
         pooled = map_chunks(block, chunks)
     finally:
         sys.setswitchinterval(switch)
-    assert mpmath.mp.prec == prec
     assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from mdplab.transfer import (
     ChebyshevKernel,
@@ -360,6 +361,27 @@ def test_spectral_agrees_with_grid_reference_on_smooth_f(name, grid):
         assert np.max(np.abs(spec.eval(v_spec, ref.nodes) - v_grid)) <= 1e-6
         assert np.max(np.abs(ref.eval(v_grid, spec.nodes) - v_spec)) <= 1e-6
     assert spec.mu(f(spec.nodes)) == pytest.approx(ref.mu(f(ref.nodes)), abs=1e-6)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+def test_spectral_gauss_on_shifted_reciprocals_is_the_digamma_closed_form(c):
+    # branch k sends 1/(y+c) to (1+x)/((k+x+1)(1+c(k+x))); summed over k >= 1
+    # that telescopes into digammas: (1+x)/(c-1) (psi(x+2) - psi(x+1+1/c))
+    k = ChebyshevKernel.gauss()
+    x = k.nodes
+    exact = (1.0 + x) / (c - 1.0) * (digamma(x + 2.0) - digamma(x + 1.0 + 1.0 / c))
+    assert np.max(np.abs(k.apply(1.0 / (x + c)) - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5])
+@pytest.mark.parametrize("d", range(8))
+def test_spectral_iterated_on_monomials_is_the_closed_form(rho, d):
+    # int_0^1 (rho y + (1-rho) u)^d du
+    k = ChebyshevKernel.iterated(rho)
+    y = k.nodes
+    exact = (((rho * y + 1.0 - rho) ** (d + 1) - (rho * y) ** (d + 1))
+             / ((d + 1) * (1.0 - rho)))
+    assert np.max(np.abs(k.apply(y**d) - exact)) <= 1e-14
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
