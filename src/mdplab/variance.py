@@ -61,40 +61,54 @@ def sigma2_covariance_series(paths, k_max: int) -> SigmaEstimate:
     """
     rows = _as_rows(paths)
     total = rows.size
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     if total < 100 * k_max:
         raise ValueError(f"need total sample length >= {100 * k_max} for k_max={k_max}, "
                          f"got {total}")
     if rows.shape[0] == 1:
         # segment a single path for the jackknife
         n_seg = 16
-        seg = rows[0][: (rows.shape[1] // n_seg) * n_seg].reshape(n_seg, -1)
-        if seg.shape[1] <= k_max:
-            raise ValueError("path too short to segment for jackknife at this k_max")
-        rows = seg
-        # one block: its path-sized buffers go back to the system when freed,
-        # while cache-sized pieces of a long path stay on the allocator's heap
-        # (+6 MiB peak RSS over 2^20-value paths)
-        height = n_seg
-    else:
-        height = max(1, COV_BLOCK_VALUES // rows.shape[1])  # cache-sized blocks
+        rows = rows[0][: (rows.shape[1] // n_seg) * n_seg].reshape(n_seg, -1)
+    if rows.shape[1] <= k_max:
+        # lags of n or more would be recorded in meta but never run
+        raise ValueError(f"rows (a single path's 16 segments) of length > k_max={k_max} "
+                         f"required, got {rows.shape[1]}")
 
     # per-row statistics (grand-mean centered) make the leave-one-out
     # estimates linear, so the jackknife costs O(replicas) after one sweep
     mean = np.mean(rows)
     r, n = rows.shape
     per_row = np.empty(r)
+    # cache-sized row blocks, so a segmented 2^20-value path holds no
+    # path-sized temporary: each of its blocks is one segment
+    height = max(1, COV_BLOCK_VALUES // n)
 
     def block(bi):
-        # every lag product goes into the block's own buffer, each row still
-        # summed over its own n - k products
+        # a row's sum_t x_t^2 + 2 sum_k sum_t x_t x_(t+k) is sum_t x_t (x_t + 2 W_t)
+        # with W_t = x_(t+1) + .. + x_(t+k_max), x zero past the row's end. W
+        # adds the window sums of width 1, 2, 4, .. that the binary digits of
+        # k_max select, each window doubled from the last: a sum tree of depth
+        # <= log2(k_max) + 1 per value, whatever n is
         lo = bi * height
-        x = rows[lo:lo + height] - mean
-        buf = np.empty_like(x)
-        acc = np.sum(np.multiply(x, x, out=buf), axis=1) / n
-        for k in range(1, k_max + 1):
-            lag = np.multiply(x[:, :-k], x[:, k:], out=buf[:, k:])
-            acc = acc + 2.0 * np.sum(lag, axis=1) / n
-        per_row[lo:lo + x.shape[0]] = acc
+        block_rows = rows[lo:lo + height]
+        window = np.empty((block_rows.shape[0], n + k_max))
+        window[:, n:] = 0.0
+        x = np.subtract(block_rows, mean, out=window[:, :n])
+        w = np.zeros_like(x)
+        start, width = 1, 1
+        while True:
+            if k_max & width:
+                w += window[:, start:start + n]
+                start += width
+            if 2 * width > k_max:
+                break
+            window = window[:, :-width] + window[:, width:]
+            width *= 2
+        w *= 2.0
+        w += x
+        w *= x
+        per_row[lo:lo + len(w)] = np.sum(w, axis=1) / n
 
     map_chunks(block, -(-r // height))
     full = float(np.mean(per_row))
@@ -116,26 +130,23 @@ def sigma2_dyadic(paths, j_max: int) -> SigmaEstimate:
     if rows.shape[1] < 2 ** (j_max + 1):
         raise ValueError(f"paths of length >= {2 ** (j_max + 1)} required for j_max={j_max}")
     flat_sq = rows.ravel() ** 2
-    level0 = float(np.mean(flat_sq))
     se2 = float(np.var(flat_sq) / flat_sq.size)
-    levels = [level0]
-    level_se = [np.sqrt(np.var(flat_sq) / flat_sq.size)]
+    levels = [float(np.mean(flat_sq))]
+    level_se = [np.sqrt(se2)]
+    # h holds each row's sums over consecutive blocks of 2^j values, whole
+    # blocks only; level j pairs its even and odd columns, and their sums
+    # are level j + 1's h: about 2 n adds for all levels together
+    h = rows
     for j in range(j_max + 1):
-        L = 2 ** (j + 1)
-        prods = []
-        for row in rows:
-            m = (row.size // L) * L
-            blocks = row[:m].reshape(-1, L)
-            half = L // 2
-            a = blocks[:, :half].sum(axis=1)
-            b = blocks[:, half:].sum(axis=1)
-            prods.append(a * b)
-        prods = np.concatenate(prods)
+        m = h.shape[1] // 2
+        a, b = h[:, 0:2 * m:2], h[:, 1:2 * m:2]
+        prods = (a * b).ravel()
         term = 2.0 ** (-j) * float(np.mean(prods))
         t_se = 2.0 ** (-j) * float(np.sqrt(np.var(prods) / prods.size))
         levels.append(term)
         level_se.append(t_se)
         se2 += t_se**2
+        h = a + b
     value, clamped = _clamp(float(np.sum(levels)), "dyadic")
     return SigmaEstimate(value=value, method="dyadic", se=float(np.sqrt(se2)),
                          clamped=clamped,

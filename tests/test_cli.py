@@ -110,6 +110,19 @@ def test_sigma2_task(tmp_path):
     assert 0.8 < value < 1.2
 
 
+def test_sigma2_lags_past_the_row_end_are_refused(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "lags.json", {
+        "task": "sigma2",
+        "model": {"kind": "iid", "law": "rademacher"},
+        "params": {"method": "covariance_series", "n": 30,
+                   "replicas": 1000, "k_max": 60},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 3
+    assert capsys.readouterr().err.startswith("refused:")
+    assert not (tmp_path / "out" / "sigma2.csv").exists()
+
+
 def test_conditions_task_verdict(tmp_path):
     cfg = write_cfg(tmp_path, "cond.json", {
         "task": "conditions",

@@ -79,14 +79,24 @@ def test_alternating_model_signs():
 
 
 def test_linear_process_matches_direct_convolution():
+    # c_i = 2^-i and signs: every partial sum is a dyadic rational of fewer
+    # than 53 bits, so each float output equals its exact sum
     spec = LinearProcessSpec(coeff_kind="geometric", C=1.0, rho=0.5,
                              truncation_tol=1e-10)
     model = make_linear_process(spec)
-    rng = RngStream(7).generator()
-    out = model.sampler(16, rng)
-    values = out[0] if isinstance(out, tuple) else out
-    assert values.shape == (16,)
-    assert np.max(np.abs(values)) <= model.bound + 1e-12
+    n, M = 16, model.meta["truncation_radius"]
+    coeffs = [Fraction(spec.coefficient(i)) for i in range(M + 1)]
+    for reps in (None, 5):
+        values = model.sampler(n, RngStream(7).generator(), reps)
+        shape = (n + M,) if reps is None else (reps, n + M)
+        eps = spec.innovation.draw(shape, RngStream(7).generator())
+        assert values.shape == shape[:-1] + (n,)
+        for row, e in zip(np.atleast_2d(values), np.atleast_2d(eps)):
+            # Y_t = sum_i c_i eps_(t-i), with eps_t at e[t + M]
+            exact = [sum(c * Fraction(e[t + M - i]) for i, c in enumerate(coeffs))
+                     for t in range(n)]
+            assert [Fraction(v) for v in row] == exact
+        assert np.max(np.abs(values)) <= model.bound + 1e-12
 
 
 def test_doubling_orbit_matches_float_iteration_initially():

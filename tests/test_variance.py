@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mdplab import variance
 from mdplab.core import RngStream
 from mdplab.processes import GOLDEN, CircleWalkSpec, IIDSpec, make_circle_walk, make_iid
 from mdplab.variance import (
@@ -98,13 +99,8 @@ def test_negative_estimate_clamps_with_warning():
     assert any("clamped" in str(wi.message) for wi in w)
 
 
-@pytest.mark.parametrize("shape,k_max", [((150, 700), 20), ((64, 400), 3),
-                                         ((1, 20_000), 10), ((300, 5), 7)])
-def test_covariance_series_blocks_match_whole_array_loop(shape, k_max):
-    rows = np.random.default_rng(7).standard_normal(shape) + 0.25
-    est = sigma2_covariance_series(rows, k_max)
-    # reference: the whole-array formula, one temporary per lag
-    x = rows if shape[0] > 1 else rows[0].reshape(16, -1)
+def _covariance_series_loop(x, k_max):
+    """(value, jackknife SE) from the whole-array formula, one temporary per lag."""
     x = x - np.mean(x)
     n = x.shape[1]
     per_row = np.sum(x * x, axis=1) / n
@@ -112,23 +108,76 @@ def test_covariance_series_blocks_match_whole_array_loop(shape, k_max):
         per_row = per_row + 2.0 * np.sum(x[:, :-k] * x[:, k:], axis=1) / n
     r = x.shape[0]
     loo = (np.sum(per_row) - per_row) / (r - 1)
-    assert est.value == float(np.mean(per_row))
-    assert est.se == float(np.sqrt((r - 1) / r * np.sum((loo - np.mean(loo)) ** 2)))
+    return float(np.mean(per_row)), float(np.sqrt((r - 1) / r * np.sum((loo - np.mean(loo)) ** 2)))
+
+
+@pytest.mark.parametrize("shape,k_max", [((150, 700), 20), ((64, 400), 3),
+                                         ((1, 20_000), 10), ((300, 8), 7)])
+def test_covariance_series_blocks_match_whole_array_loop(shape, k_max):
+    # the window sums add each row's lag products in another order than the
+    # loop, so the two agree at rounding, not bit for bit
+    rows = np.random.default_rng(7).standard_normal(shape) + 0.25
+    est = sigma2_covariance_series(rows, k_max)
+    value, se = _covariance_series_loop(rows if shape[0] > 1 else rows[0].reshape(16, -1), k_max)
+    assert est.value == pytest.approx(value, rel=1e-14, abs=0)
+    assert est.se == pytest.approx(se, rel=1e-12, abs=0)
+
+
+def test_covariance_series_single_path_equals_its_segments_as_rows(monkeypatch):
+    path = np.random.default_rng(5).standard_normal(1 << 17) + 0.1
+    single = sigma2_covariance_series(path, 40)
+    rows = sigma2_covariance_series(path.reshape(16, -1), 40)
+    assert (single.value, single.se) == (rows.value, rows.se)
+    # eight segments a block by default, one here: rows do not see the height
+    monkeypatch.setattr(variance, "COV_BLOCK_VALUES", 1 << 13)
+    one_row = sigma2_covariance_series(path, 40)
+    assert (one_row.value, one_row.se) == (single.value, single.se)
+
+
+def test_covariance_series_refuses_out_of_range_k_max():
+    # lags >= n contribute nothing, so k_max would be recorded but never run
+    rows = np.where(np.random.default_rng(3).random((1000, 30)) < 0.5, -1.0, 1.0)
+    assert sigma2_covariance_series(rows, 29).meta["k_max"] == 29
+    with pytest.raises(ValueError, match="k_max=30"):
+        sigma2_covariance_series(rows, 30)
+    with pytest.raises(ValueError, match="k_max=60"):
+        sigma2_covariance_series(rows, 60)
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        sigma2_covariance_series(rows, -1)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_covariance_series_row_blocks_on_the_pool_are_bit_identical(chunk_workers, workers):
-    chunk_workers(workers)
     rows = np.random.default_rng(11).standard_normal((300, 400)) - 0.5  # two row blocks
     k_max = 12
+    chunk_workers(1)
+    inline = sigma2_covariance_series(rows, k_max)
+    chunk_workers(workers)
     est = sigma2_covariance_series(rows, k_max)
-    # reference: the whole-array formula, one temporary per lag
-    x = rows - np.mean(rows)
-    n = x.shape[1]
-    per_row = np.sum(x * x, axis=1) / n
-    for k in range(1, k_max + 1):
-        per_row = per_row + 2.0 * np.sum(x[:, :-k] * x[:, k:], axis=1) / n
-    r = x.shape[0]
-    loo = (np.sum(per_row) - per_row) / (r - 1)
-    assert est.value == float(np.mean(per_row))
-    assert est.se == float(np.sqrt((r - 1) / r * np.sum((loo - np.mean(loo)) ** 2)))
+    assert (est.value, est.se) == (inline.value, inline.se)
+    value, se = _covariance_series_loop(rows, k_max)
+    assert est.value == pytest.approx(value, rel=1e-14, abs=0)
+    assert est.se == pytest.approx(se, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("shape,j_max", [((7, 1000), 5), ((1, (1 << 16) + 3), 12)])
+def test_dyadic_pyramid_matches_per_row_loop(shape, j_max):
+    # row lengths that are not multiples of 2^(j_max + 1): each level drops
+    # the row's incomplete last block
+    rows = np.random.default_rng(13).standard_normal(shape) + 0.3
+    est = sigma2_dyadic(rows if shape[0] > 1 else rows[0], j_max)
+    flat_sq = rows.ravel() ** 2
+    levels = [float(np.mean(flat_sq))]
+    se2 = float(np.var(flat_sq) / flat_sq.size)
+    for j in range(j_max + 1):
+        L = 2 ** (j + 1)
+        prods = []
+        for row in rows:
+            blocks = row[: (row.size // L) * L].reshape(-1, L)
+            prods.append(blocks[:, : L // 2].sum(axis=1) * blocks[:, L // 2:].sum(axis=1))
+        prods = np.concatenate(prods)
+        levels.append(2.0 ** (-j) * float(np.mean(prods)))
+        se2 += (2.0 ** (-j) * float(np.sqrt(np.var(prods) / prods.size))) ** 2
+    assert est.value == pytest.approx(float(np.sum(levels)), rel=1e-14, abs=0)
+    assert est.se == pytest.approx(float(np.sqrt(se2)), rel=1e-12, abs=0)
+    assert est.meta["level_terms"] == pytest.approx(levels, rel=1e-14, abs=0)
