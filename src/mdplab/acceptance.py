@@ -241,7 +241,7 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
     gamma_verdicts = {}
     for gamma in (0.3, 0.5, 0.6, 0.75, 1.0):
         c = lambda t, gg=gamma: abs(math.log(t)) ** (-gg)
-        verdict, estimate, _ = check_class_L(c, enforce_concavity=False)
+        verdict, estimate, _ = check_class_L(c)
         gamma_verdicts[gamma] = verdict
         cond_rows.append((f"modulus_gamma_{gamma}", "integral", verdict))
     write_csv(os.path.join(out_dir, "c6_conditions.csv"),

@@ -36,6 +36,7 @@ from .diophantine import (
     badly_approximable_audit,
     cf_expand,
     convergents,
+    golden_spec,
 )
 from .acceptance import DEFAULT_SEED, format_results, run_suite
 
@@ -142,7 +143,7 @@ def _irrational_from_cfg(spec) -> IrrationalSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid irrational spec: {exc}") from exc
     if spec == "golden":
-        return IrrationalSpec(kind="quadratic", P=-1, D=5, Q=2)
+        return golden_spec()
     raise ConfigError(f"unsupported irrational spec {spec!r}")
 
 

@@ -224,16 +224,12 @@ def class_L_integral(c: Callable[[float], float], j_max: int = 200,
     return estimate, diag.verdict, blocks
 
 
-def check_class_L(c: Callable[[float], float], j_max: int = 200,
-                  enforce_concavity: bool = True):
+def check_class_L(c: Callable[[float], float], j_max: int = 200):
     """Verdict + integral estimate for membership of the concave-modulus class.
 
-    enforce_concavity=False admits moduli that are concave only near 0 (the
-    regime the integral criterion actually probes), e.g. |log t|^(-gamma).
+    Only the integral near 0 is probed; concavity is not checked, so moduli
+    concave only near 0, e.g. |log t|^(-gamma), are admitted.
     """
-    if enforce_concavity:
-        from .transfer import _spot_check_concavity
-        _spot_check_concavity(c, 1e-8, 0.5)
     estimate, verdict, blocks = class_L_integral(c, j_max=j_max)
     return verdict, estimate, blocks
 

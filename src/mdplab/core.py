@@ -32,9 +32,6 @@ __all__ = [
     "Path",
     "SpeedSequence",
     "ProcessModel",
-    "partial_sums",
-    "normalized_process",
-    "max_abs_partial_sum",
     "write_csv",
     "chunk_workers",
     "map_chunks",
@@ -364,27 +361,6 @@ def map_replicas(replicas: int, chunk: int, stream: RngStream,
         return fn(range(start, min(start + chunk, replicas)), stream.child(ci).generator())
 
     return map_chunks(run, -(-replicas // chunk))
-
-
-def partial_sums(path: Path) -> np.ndarray:
-    """S_1..S_n."""
-    return np.cumsum(path.values)
-
-
-def normalized_process(path: Path, t: float) -> float:
-    """W_n(t) = n^{-1/2} * S_[nt], with W_n(0) = 0."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    n = len(path)
-    k = int(np.floor(n * t))
-    if k == 0:
-        return 0.0
-    return float(np.sum(path.values[:k])) / np.sqrt(n)
-
-
-def max_abs_partial_sum(path: Path) -> float:
-    """max_{1<=k<=n} |S_k|."""
-    return float(np.max(np.abs(partial_sums(path))))
 
 
 def _csv_cell(v) -> str:

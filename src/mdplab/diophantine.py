@@ -15,13 +15,11 @@ m = k*A mod 10^40, to the bit, with no per-k Python loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-
-from .conditions import SeriesDiagnostic, diagnose_series
 
 __all__ = [
     "PrecisionError",
@@ -36,7 +34,6 @@ __all__ = [
     "dist_to_integers_array",
     "badly_approximable_audit",
     "paroux_sum",
-    "bis_series_circle",
 ]
 
 _SCALE_DIGITS = 40
@@ -97,10 +94,6 @@ class IrrationalSpec:
     def uncertainty(self) -> float:
         lo, hi = self.interval()
         return float(hi - lo)
-
-    def approx(self) -> float:
-        lo, hi = self.interval()
-        return float((lo + hi) / 2)
 
     def scaled_int(self) -> int:
         """floor(midpoint * 10^40); fast-path key for distance computations.
@@ -264,6 +257,7 @@ def _limbs_to_float(x: tuple) -> np.ndarray:
 _S_LIMBS = tuple(int(v[0]) for v in _limbs([_SCALE]))
 _HALF_LIMBS = tuple(int(v[0]) for v in _limbs([_SCALE // 2]))
 _KERNEL_CHUNK = 1 << 13  # values of k per kernel pass; bounds the transient arrays
+_AUDIT_CHUNK = 1 << 16  # values of k per audit comparison
 
 
 def _kernel_layout(K: int) -> tuple:
@@ -330,9 +324,13 @@ def badly_approximable_audit(a: IrrationalSpec, eps: float, K: int):
     if K * a.uncertainty / 2 > 0.01 * K ** (-1.0 - eps):
         raise PrecisionError("irrational spec too coarse to audit up to this K")
     d = dist_to_integers_array(a, K)
-    k = np.arange(1, K + 1, dtype=float)
-    hits = np.nonzero(d < k ** (-1.0 - eps))[0] + 1
-    return [int(h) for h in hits]
+    hits = []
+    # thresholds a chunk at a time, so only the distance array spans all of K
+    for s in range(0, K, _AUDIT_CHUNK):
+        e = min(s + _AUDIT_CHUNK, K)
+        k = np.arange(s + 1, e + 1, dtype=float)
+        hits.extend((np.nonzero(d[s:e] < k ** (-1.0 - eps))[0] + s + 1).tolist())
+    return hits
 
 
 def _fhat_values(fhat, K: int) -> np.ndarray:
@@ -359,31 +357,3 @@ def paroux_sum(fhat, a: IrrationalSpec, K: int):
     blocks = np.array([terms[2**N - 1 : min(2 ** (N + 1) - 1, K)].sum()
                        for N in range(n_blocks + 1)])
     return partial, blocks
-
-
-def bis_series_circle(fhat, a: IrrationalSpec, N_max: int,
-                      K_const: float = 2.0, k_support: int = 64) -> SeriesDiagnostic:
-    """Left: sum over n <= N_max of n^(-1/2) ||K^n f - mf||_inf (exact Fourier
-    sup bounded by sum |fhat(k)| |cos 2 pi k a|^n). Right: the Diophantine
-    majorant K_const * sum |fhat(k)| pi^(-1/2) / d(2ka, Z). The report's extra
-    carries both sides per truncation and the domination flags."""
-    ks = np.arange(1, k_support + 1)
-    c = _fhat_values(fhat, k_support)
-    live = c > 0
-    ks, c = ks[live], c[live]
-    if ks.size == 0:
-        raise ValueError("observable has no nonzero Fourier modes")
-    av = a.approx()
-    alphas = np.abs(np.cos(2.0 * np.pi * ks * av))
-    n = np.arange(1, N_max + 1, dtype=float)
-    # sup norm of K^n f - mf: modes decouple in absolute value
-    sup = (2.0 * c[None, :] * alphas[None, :] ** n[:, None]).sum(axis=1)
-    terms = n ** (-0.5) * sup
-    diag = diagnose_series(terms)
-    d2 = np.array([dist_to_integers(2 * int(k), a)[0] for k in ks])
-    right = K_const * float(np.sum(2.0 * c / (math.sqrt(math.pi) * d2)))
-    left_partials = np.cumsum(terms)
-    diag.extra["right_bound"] = right
-    diag.extra["left_partials"] = left_partials
-    diag.extra["dominated"] = bool(np.all(left_partials <= right + 1e-12))
-    return diag

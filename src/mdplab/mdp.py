@@ -31,7 +31,6 @@ __all__ = [
     "endpoint_rate",
     "block_martingale_decompose",
     "exact_binomial_tail_log",
-    "rademacher_tail_log_approx",
     "tilted_is_estimator",
     "empirical_mdp_point",
     "mdp_scan",
@@ -76,19 +75,16 @@ class PiecewiseLinearPath:
         return PiecewiseLinearPath(self.breakpoints, alpha * self.values)
 
 
-def rate_I(h: PiecewiseLinearPath, sigma2: float,
-           degenerate_zero_sigma: bool = False) -> float:
-    """(1 / 2 sigma^2) * integral of (h')^2; +inf when sigma^2 = 0.
+def rate_I(h: PiecewiseLinearPath, sigma2: float) -> float:
+    """(1 / 2 sigma^2) * integral of (h')^2.
 
-    degenerate_zero_sigma switches the sigma = 0 convention to the point
-    mass at the zero path (I(0) = 0, I(h != 0) = +inf).
+    At sigma^2 = 0 the law is the point mass at the zero path, as in
+    `endpoint_rate`: I(0) = 0 and I(h != 0) = +inf.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
     if sigma2 == 0.0:
-        if degenerate_zero_sigma and np.all(h.values == 0.0):
-            return 0.0
-        return math.inf
+        return 0.0 if np.all(h.values == 0.0) else math.inf
     return float(np.sum(h.slopes**2 * np.diff(h.breakpoints))) / (2.0 * sigma2)
 
 
@@ -246,15 +242,6 @@ def exact_binomial_tail_log(n: int, t: float) -> float:
         total = new_total
         k += chunk
     return min(total, 0.0)
-
-
-def rademacher_tail_log_approx(n: int, t: float) -> float:
-    """Refined large-deviation approximation of log P(S_n >= t), t = eps*n."""
-    eps = t / n
-    if not 0.0 < eps < 1.0:
-        raise ValueError("need 0 < t/n < 1")
-    lam = 0.5 * (1 + eps) * math.log1p(eps) + 0.5 * (1 - eps) * math.log1p(-eps)
-    return -n * lam - 0.5 * math.log(2.0 * math.pi * n * eps * eps * (1.0 - eps * eps))
 
 
 def _cgf(spec: IIDSpec):

@@ -12,10 +12,9 @@ points (Bandtlow & Slipantschuk 2020; Wormell, Numer. Math. 2019). Sup norms
 are read on a fixed uniform grid through one shared evaluation matrix.
 
 The uniform-grid classes (piecewise-linear interpolation, trapezoid
-quadrature) are the independent reference discretisation. Non-smooth
-observables, such as the hat-function witnesses and the BV test functions,
-converge only at O(1/N) on Chebyshev points and belong on the grid classes;
-the model builders refuse them.
+quadrature) stay for criterion 4's duality check and the benchmark probe.
+Non-smooth observables converge only at O(1/N) on Chebyshev points; the
+model builders refuse them.
 
 The circle-walk kernel is a collocation kernel too: for an observable with
 Fourier modes |k| <= K it carries functions by their values at the n = 4K + 1
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,13 +52,8 @@ __all__ = [
     "orbit",
     "dust_floor",
     "apply_pf_integer_beta",
-    "total_variation_norm",
     "sup_norm_decay",
-    "check_bv_contraction",
-    "modulus_bound_check",
-    "conditional_sum_norm",
     "conditional_square_norm",
-    "lipschitz_witnesses",
     "pf_duality_gap",
 ]
 
@@ -112,11 +106,6 @@ def apply_pf_integer_beta(f: GridFunction, beta: int) -> GridFunction:
     for i in range(beta):
         acc += f.eval((x + i) / beta)
     return GridFunction(acc / beta)
-
-
-def total_variation_norm(f: GridFunction) -> float:
-    """Sum of |consecutive node differences|; exact for node-aligned BV functions."""
-    return float(np.sum(np.abs(np.diff(f.values))))
 
 
 class Kernel:
@@ -600,91 +589,9 @@ def sup_norm_decay(kernel: Kernel, f_values: np.ndarray, n_max: int) -> DecayRep
     return DecayReport(u=u, kappa=kappa, rho=rho, residual=resid)
 
 
-def check_bv_contraction(kernel: Kernel, test_functions: Sequence[GridFunction],
-                         n_max: int):
-    """Certificate (kappa, rho, residual) for ||dK^n f|| <= kappa rho^n ||df||.
-
-    Returns (kappa, rho, residual, contracting) with the smallest fitted pair
-    covering every sample; contracting is False when no rho < 1 fits.
-    """
-    if len(test_functions) < 3:
-        raise ValueError("need at least 3 BV test functions")
-    ratios = []  # (n, ||dK^n f|| / ||df||)
-    for f in test_functions:
-        df0 = total_variation_norm(f)
-        if df0 == 0.0:
-            continue
-        for n, v in enumerate(orbit(kernel, f.values, n_max), start=1):
-            ratios.append((n, total_variation_norm(GridFunction(v)) / df0))
-    ns = np.array([r[0] for r in ratios], dtype=float)
-    vals = np.array([r[1] for r in ratios], dtype=float)
-    pos = vals > 1e-300
-    if pos.sum() < 2:
-        return 1.0, 0.0, 0.0, True  # everything annihilated immediately
-    slope, intercept = np.polyfit(ns[pos], np.log(vals[pos]), 1)
-    rho = float(np.exp(slope))
-    if rho >= 1.0 - 1e-9:
-        return None, max(rho, 1.0), None, False
-    # smallest kappa covering all samples at this rho
-    kappa = float(np.max(vals / rho**ns))
-    resid = float(np.sqrt(np.mean((np.log(vals[pos]) - (slope * ns[pos] + intercept)) ** 2)))
-    return kappa, rho, resid, True
-
-
-def lipschitz_witnesses(nodes: np.ndarray, n_witness: int = 16):
-    """Finite witness family inside the 1-Lipschitz ball (lower bound of the sup).
-
-    Identity, its negative, and hat functions |x - t_j| on a coarse t-grid.
-    """
-    fams = [nodes.copy(), -nodes]
-    for t in np.linspace(0.0, 1.0, n_witness):
-        fams.append(np.abs(nodes - t))
-    return fams
-
-
-def witness_un(kernel: Kernel, n_max: int, n_witness: int = 16) -> np.ndarray:
-    """u_n approximated from below over the witness family."""
-    u = np.zeros(n_max)
-    for w in lipschitz_witnesses(np.asarray(kernel.nodes, dtype=float), n_witness):
-        u = np.maximum(u, kernel.sup(orbit(kernel, w, n_max, center=True)))
-    return u
-
-
-def _spot_check_concavity(c: Callable[[float], float], lo: float, hi: float, points: int = 100):
-    ts = np.linspace(lo, hi, points + 2)[1:-1]
-    for i in range(points // 2):
-        t1, t2 = ts[i], ts[-1 - i]
-        mid = 0.5 * (t1 + t2)
-        if c(mid) < 0.5 * (c(t1) + c(t2)) - 1e-12:
-            raise ValueError("modulus failed the midpoint concavity spot check")
-        if c(t2) < c(t1) - 1e-12:
-            raise ValueError("modulus must be nondecreasing")
-
-
-def modulus_bound_check(kernel: Kernel, f_values: np.ndarray,
-                        c: Callable[[float], float], n_max: int,
-                        grid_tol: float = 1e-8):
-    """Margins c(u_n) + tol - ||K^n f - mu(f)||_inf for n <= n_max.
-
-    u_n is the witness-family lower bound of the Lipschitz sup, so a negative
-    margin is a genuine violation only up to that approximation; violations
-    are reported with the offending n.
-    """
-    u = witness_un(kernel, n_max)
-    _spot_check_concavity(c, min(1e-6, u.min() / 2 + 1e-12), max(u.max(), 1e-6))
-    lhs = kernel.sup(orbit(kernel, f_values, n_max, center=True))
-    margins = [float(c(u[n - 1])) + grid_tol - float(lhs[n - 1]) for n in range(1, n_max + 1)]
-    violations = [n for n, m in enumerate(margins, start=1) if m < 0]
-    return margins, violations
-
-
-def conditional_sum_norm(kernel: Kernel, f_values: np.ndarray, n: int) -> float:
-    """Exact ||E(S_n | F_0)||_inf for a kernel model: max_x |sum_{k<=n} (K^k f - mu f)(x)|."""
-    return float(conditional_sum_norm_profile(kernel, f_values, n)[-1])
-
-
 def conditional_sum_norm_profile(kernel: Kernel, f_values: np.ndarray, n_max: int) -> np.ndarray:
-    """conditional_sum_norm for every n = 1..n_max in one sweep."""
+    """Exact ||E(S_n | F_0)||_inf = max_x |sum_{k<=n} (K^k f - mu f)(x)| for a
+    kernel model, for every n = 1..n_max in one sweep."""
     rows = orbit(kernel, f_values, n_max, center=True)
     return kernel.sup(np.cumsum(rows, axis=0, out=rows))
 

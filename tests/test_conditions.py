@@ -191,15 +191,14 @@ def test_class_L_gamma_threshold():
     verdicts = {}
     for gamma in (0.3, 0.75):
         c = lambda t, g=gamma: abs(np.log(t)) ** (-g) if t > 0 else 0.0
-        verdicts[gamma] = check_class_L(c, enforce_concavity=False)[0]
+        verdicts[gamma] = check_class_L(c)[0]
     assert verdicts[0.3] == "diverging"
     assert verdicts[0.75] == "converging"
 
 
 def test_class_L_power_modulus_converges():
     # c(t) = sqrt(t) integrates easily
-    verdict, estimate, blocks = check_class_L(lambda t: np.sqrt(t),
-                                              enforce_concavity=False)
+    verdict, estimate, blocks = check_class_L(lambda t: np.sqrt(t))
     assert verdict == "converging"
     # oracle: int_0^(1/2) t^(-1/2) / sqrt(|log t|) dt ~= 0.906 (quadrature)
     from scipy.integrate import quad

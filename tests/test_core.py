@@ -15,9 +15,6 @@ from mdplab.core import (
     SpeedSequence,
     map_chunks,
     map_replicas,
-    max_abs_partial_sum,
-    normalized_process,
-    partial_sums,
 )
 
 
@@ -95,16 +92,6 @@ def test_speed_sequence_gamma_range():
         SpeedSequence(gamma=1.0)
     with pytest.raises(ValueError):
         SpeedSequence(gamma=0.0)
-
-
-def test_partial_sum_helpers():
-    p = Path(values=np.array([1.0, -2.0, 3.0]), origin_seed=0)
-    assert np.allclose(partial_sums(p), [1.0, -1.0, 2.0])
-    assert max_abs_partial_sum(p) == pytest.approx(2.0)
-    assert normalized_process(p, 0.0) == 0.0
-    # t=0.5 picks S_[3*0.5] = S_1, scaled by n^(-1/2)
-    assert normalized_process(p, 0.5) == pytest.approx(1.0 / np.sqrt(3.0))
-    assert normalized_process(p, 1.0) == pytest.approx(2.0 / np.sqrt(3.0))
 
 
 def test_model_bound_enforced():

@@ -11,7 +11,6 @@ from mdplab.diophantine import (
     IrrationalSpec,
     PrecisionError,
     badly_approximable_audit,
-    bis_series_circle,
     cf_expand,
     convergents,
     dist_to_integers,
@@ -136,13 +135,6 @@ def test_fhat_values_equal_the_per_k_loop(fhat):
     assert np.array_equal(got, want)
 
 
-def test_bis_series_circle_dominated():
-    diag = bis_series_circle({1: 0.5}, golden_spec(), 400)
-    assert diag.verdict == "converging"
-    assert diag.extra["dominated"]
-    assert diag.extra["left_partials"][-1] <= diag.extra["right_bound"]
-
-
 def test_quadratic_spec_validation():
     with pytest.raises(ValueError):
         IrrationalSpec(kind="quadratic", P=0, D=4, Q=1)  # perfect square
@@ -254,6 +246,22 @@ def test_dist_array_transient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * K + 16 * 2**20
+
+
+def test_audit_transient_memory_is_bounded():
+    K = 10**6
+    a = golden_spec()
+    badly_approximable_audit(a, 0.01, 1000)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        hits = badly_approximable_audit(a, 0.01, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * K + 4 * 2**20
+    # the chunked comparison gives the one-shot comparison's hits
+    k = np.arange(1, K + 1, dtype=float)
+    assert hits == (np.nonzero(dist_to_integers_array(a, K) < k ** (-1.0 - 0.01))[0] + 1).tolist()
 
 
 def test_dist_array_rejects_negative_K():

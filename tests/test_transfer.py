@@ -12,17 +12,12 @@ from mdplab.transfer import (
     IteratedFunctionKernel,
     SUP_GRID,
     apply_pf_integer_beta,
-    check_bv_contraction,
     conditional_square_norm,
-    conditional_sum_norm,
     conditional_sum_norm_profile,
-    modulus_bound_check,
     orbit,
     pf_duality_gap,
     stationary_distribution,
     sup_norm_decay,
-    total_variation_norm,
-    witness_un,
     _geometric_fit,
 )
 
@@ -66,11 +61,6 @@ def test_pf_kills_odd_harmonic_exactly():
     g = GridFunction.from_callable(lambda x: np.cos(2 * np.pi * x), n_points=1024)
     out = apply_pf_integer_beta(g, 2)
     assert np.max(np.abs(out.values)) < 1e-13
-
-
-def test_total_variation_hand_values():
-    g = GridFunction(values=np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
-    assert total_variation_norm(g) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +186,6 @@ def test_sup_norm_decay_flags_non_decay():
     assert rep.diverged or rep.rho > 0.99
 
 
-def test_witness_un_monotone_envelope():
-    k = IntegerBetaPFKernel(2, n_points=1024)
-    u = witness_un(k, 16)
-    assert u.shape == (16,)
-    assert np.all(u >= -1e-15)
-
-
 def test_conditional_sum_norm_profile_consistency():
     k = FiniteStateKernel(np.array([[0.7, 0.3], [0.2, 0.8]]),
                           states=np.array([0.0, 1.0]))
@@ -210,24 +193,8 @@ def test_conditional_sum_norm_profile_consistency():
     prof = conditional_sum_norm_profile(k, f, 8)
     assert prof.shape == (8,)
     for n in (1, 4, 8):
-        assert prof[n - 1] == pytest.approx(conditional_sum_norm(k, f, n), abs=1e-14)
-
-
-def test_bv_contraction_check():
-    k = IntegerBetaPFKernel(2, n_points=1024)
-    tests = [GridFunction.from_callable(lambda x: np.cos(2 * np.pi * x), 1024),
-             GridFunction.from_callable(lambda x: (x - 0.5) ** 2, 1024),
-             GridFunction.from_callable(lambda x: np.abs(x - 0.3), 1024)]
-    kappa, rho, resid, contracting = check_bv_contraction(k, tests, n_max=12)
-    assert contracting and rho < 1.0
-
-
-def test_modulus_bound_check_linear_observable():
-    k = IntegerBetaPFKernel(2, n_points=1024)
-    f = k.nodes - 0.5
-    margins, violations = modulus_bound_check(k, f, lambda h: h, n_max=8)
-    assert len(margins) == 8
-    assert violations == []
+        partial = sum(np.linalg.matrix_power(k.P, j) @ f for j in range(1, n + 1))
+        assert prof[n - 1] == pytest.approx(np.max(np.abs(partial)), abs=1e-14)
 
 
 def test_pf_duality_gap_small():
