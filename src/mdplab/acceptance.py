@@ -12,7 +12,8 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -251,7 +252,7 @@ def run_data_pass(master_seed: int, out_dir: str) -> dict:
 
     # 7. rate-function algebra ------------------------------------------------
     t0 = time.perf_counter()
-    rng = np.random.default_rng(master_seed)
+    rng = stream.named("c7-rates").generator()
     worst = {"homogeneity": 0.0, "refinement": 0.0, "endpoint": 0.0}
     for _ in range(50):
         k = int(rng.integers(2, 9))
@@ -375,32 +376,29 @@ def evaluate(data: dict):
     return results
 
 
-def run_suite(master_seed: int = DEFAULT_SEED, out_dir: str = None,
-              check_reproducibility: bool = True):
-    """All nine checks; returns a list of CriterionResult."""
+def run_suite(master_seed: int, out_dir: Optional[str]):
+    """All nine checks; returns a list of CriterionResult. The data files go to
+    `out_dir`, or to a new temporary directory if it is None."""
     if out_dir is None:
         out_dir = tempfile.mkdtemp(prefix="mdplab-acceptance-")
-    t0 = time.perf_counter()
     data = run_data_pass(master_seed, out_dir)
     results = evaluate(data)
-    if check_reproducibility:
-        t9 = time.perf_counter()
-        with tempfile.TemporaryDirectory(prefix="mdplab-rerun-") as second:
-            run_data_pass(master_seed, second)
-            mismatched = []
-            for name in sorted(os.listdir(out_dir)):
-                if not name.endswith(".csv"):
-                    continue
-                with open(os.path.join(out_dir, name), "rb") as fa, \
-                        open(os.path.join(second, name), "rb") as fb:
-                    if fa.read() != fb.read():
-                        mismatched.append(name)
-        results.append(CriterionResult(
-            9, "byte-identical reproducibility",
-            not mismatched,
-            f"second pass with seed {master_seed}: "
-            + ("all data files identical" if not mismatched
-               else f"mismatch in {mismatched}"),
-            time.perf_counter() - t9))
-    results.sort(key=lambda r: r.index)
+    t9 = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mdplab-rerun-") as second:
+        run_data_pass(master_seed, second)
+        mismatched = []
+        for name in sorted(os.listdir(out_dir)):
+            if not name.endswith(".csv"):
+                continue
+            with open(os.path.join(out_dir, name), "rb") as fa, \
+                    open(os.path.join(second, name), "rb") as fb:
+                if fa.read() != fb.read():
+                    mismatched.append(name)
+    results.append(CriterionResult(
+        9, "byte-identical reproducibility",
+        not mismatched,
+        f"second pass with seed {master_seed}: "
+        + ("all data files identical" if not mismatched
+           else f"mismatch in {mismatched}"),
+        time.perf_counter() - t9))
     return results

@@ -18,7 +18,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import BATCH_CHUNK_VALUES, RngStream, SpeedSequence, map_replicas, write_csv
+from .core import (BATCH_CHUNK_VALUES, REPLICA_CHUNK, RngStream, SpeedSequence,
+                   map_replicas, write_csv)
 from .processes import model_from_config
 from .transfer import CircleFourierKernel, sup_norm_decay
 from .conditions import check_bis, check_mw
@@ -45,21 +46,24 @@ TASKS = ("simulate", "sigma2", "conditions", "inequality", "mdp-scan",
 
 _TOP_KEYS = {"task", "seed", "model", "params", "output_dir"}
 
-_PARAM_KEYS = {
-    "simulate": {"n", "replicas"},
-    "sigma2": {"method", "n", "replicas", "k_max", "j_max", "n_grid",
-               "coeffs", "a", "k_support"},
-    "conditions": {"check", "n_max", "floor"},
-    "inequality": {"bound", "thresholds", "replicas", "n"},
-    "mdp-scan": {"gamma", "n_grid", "x_grid", "method", "sigma2", "replicas"},
-    "diophantine": {"a", "action", "K", "eps"},
-    "transfer-decay": {"n_max"},
-    "decompose": {"n", "m"},
-}
+# each task's params with their defaults; REQUIRED marks a param the config
+# must give, and a tuple lists the allowed values, the default first
+REQUIRED = object()
 
-_REQUIRED_PARAMS = {
-    "inequality": {"bound", "thresholds"},
-    "mdp-scan": {"n_grid", "x_grid", "sigma2"},
+_PARAMS = {
+    "simulate": {"n": 1024, "replicas": 100},
+    "sigma2": {"method": ("covariance_series", "dyadic", "var_sn", "fourier_closed_form"),
+               "n": 10_000, "replicas": 100, "k_max": 50, "j_max": 8,
+               "n_grid": [256, 512, 1024, 2048], "coeffs": None, "a": None,
+               "k_support": None},
+    "conditions": {"check": ("bis", "mw"), "n_max": 256, "floor": 0.0},
+    "inequality": {"bound": REQUIRED, "thresholds": REQUIRED, "replicas": 10_000, "n": 256},
+    "mdp-scan": {"gamma": 1.0 / 3.0, "n_grid": REQUIRED, "x_grid": REQUIRED,
+                 "method": ("exact_binomial", "tilted", "naive"), "sigma2": REQUIRED,
+                 "replicas": 0},
+    "diophantine": {"a": "golden", "action": ("convergents", "audit"), "K": 30, "eps": 0.1},
+    "transfer-decay": {"n_max": 64},
+    "decompose": {"n": 4096, "m": 8},
 }
 
 
@@ -80,7 +84,8 @@ def _number(v) -> bool:
 _PARAM_TYPES = {
     **dict.fromkeys(("n", "replicas", "n_max", "m", "K", "k_max", "j_max", "k_support"),
                     ("a positive integer", _count)),
-    **dict.fromkeys(("floor", "sigma2", "gamma", "eps"), ("a number", _number)),
+    **dict.fromkeys(("floor", "sigma2", "eps"), ("a number", _number)),
+    "gamma": ("a number in (0, 1)", lambda v: _number(v) and 0 < v < 1),
     **dict.fromkeys(("method", "check", "action"), ("a string", lambda v: type(v) is str)),
     "n_grid": ("a list of positive integers", lambda v: type(v) is list and all(map(_count, v))),
     **dict.fromkeys(("x_grid", "thresholds"),
@@ -106,10 +111,11 @@ def _load_config(path: str) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    bad = set(params) - _PARAM_KEYS[task]
+    table = _PARAMS[task]
+    bad = set(params) - set(table)
     if bad:
         raise ConfigError(f"unknown params for task {task}: {sorted(bad)}")
-    missing = _REQUIRED_PARAMS.get(task, set()) - set(params)
+    missing = {key for key, default in table.items() if default is REQUIRED} - set(params)
     if missing:
         raise ConfigError(f"missing params for task {task}: {sorted(missing)}")
     if task == "inequality" and not (isinstance(params["bound"], dict)
@@ -123,6 +129,9 @@ def _load_config(path: str) -> dict:
         what, ok = types[key]
         if not ok(params[key]):
             raise ConfigError(f"param {key} must be {what}, got {params[key]!r}")
+    for key in sorted(params):
+        if type(table[key]) is tuple and params[key] not in table[key]:
+            raise ConfigError(f"param {key} must be one of {table[key]}, got {params[key]!r}")
     return cfg
 
 
@@ -149,15 +158,15 @@ def _irrational_from_cfg(spec) -> IrrationalSpec:
 
 def _run_task(cfg: dict, out_dir: str) -> int:
     task = cfg["task"]
-    params = dict(cfg.get("params", {}))
+    params = {key: d[0] if type(d) is tuple else d for key, d in _PARAMS[task].items()}
+    params.update(cfg.get("params", {}))
     seed = cfg.get("seed", DEFAULT_SEED)
     stream = RngStream(seed)
-    fourier = task == "sigma2" and params.get("method") == "fourier_closed_form"
+    fourier = task == "sigma2" and params["method"] == "fourier_closed_form"
     model = None if task == "diophantine" or fourier else _model(cfg)
 
     if task == "simulate":
-        n = params.get("n", 1024)
-        reps = params.get("replicas", 100)
+        n, reps = params["n"], params["replicas"]
         # one path per replica stream named("simulate", r), drawn and checked
         # in blocks of about 2^16 values, each summed in one pass
         height = max(1, BATCH_CHUNK_VALUES // n)
@@ -174,43 +183,34 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         return 0
 
     if task == "sigma2":
-        method = params.get("method", "covariance_series")
         if fourier:
-            if not {"coeffs", "a"} <= set(params):
+            if params["coeffs"] is None or params["a"] is None:
                 raise ConfigError("fourier_closed_form needs params coeffs and a")
             try:
                 coeffs = {int(k): complex(v) for k, v in params["coeffs"].items()}
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid Fourier coefficients: {exc}") from exc
-            est = sigma2_circle_fourier(coeffs, float(params["a"]),
-                                        params.get("k_support"))
+            est = sigma2_circle_fourier(coeffs, float(params["a"]), params["k_support"])
         else:
-            n = params.get("n", 10_000)
-            reps = params.get("replicas", 100)
-            paths = model.sample_batch(n, reps, stream.named("sigma2"))
-            if method == "covariance_series":
-                est = sigma2_covariance_series(paths, params.get("k_max", 50))
-            elif method == "dyadic":
-                est = sigma2_dyadic(paths, params.get("j_max", 8))
-            elif method == "var_sn":
-                grid = params.get("n_grid", [256, 512, 1024, 2048])
-                sums = {m: model.sample_batch(m, reps, stream.named(f"var_sn_{m}"))
-                        for m in grid}
-                est = sigma2_var_sn(sums)
+            reps = params["replicas"]
+            paths = model.sample_batch(params["n"], reps, stream.named("sigma2"))
+            if params["method"] == "covariance_series":
+                est = sigma2_covariance_series(paths, params["k_max"])
+            elif params["method"] == "dyadic":
+                est = sigma2_dyadic(paths, params["j_max"])
             else:
-                raise ConfigError(f"unknown sigma2 method {method!r}")
+                sums = {m: model.sample_batch(m, reps, stream.named(f"var_sn_{m}"))
+                        for m in params["n_grid"]}
+                est = sigma2_var_sn(sums)
         write_csv(os.path.join(out_dir, "sigma2.csv"),
                   ("method", "value", "se", "clamped"),
                   [(est.method, est.value, est.se, est.clamped)])
         return 0
 
     if task == "conditions":
-        check = params.get("check", "bis")
-        fn = {"bis": check_bis, "mw": check_mw}.get(check)
-        if fn is None:
-            raise ConfigError(f"unknown condition check {check!r}")
-        diag = fn(model, n_max=params.get("n_max", 256),
-                  floor=params.get("floor", 0.0))
+        check = params["check"]
+        fn = {"bis": check_bis, "mw": check_mw}[check]
+        diag = fn(model, n_max=params["n_max"], floor=params["floor"])
         write_csv(os.path.join(out_dir, f"condition_{check}.csv"),
                   ("n", "term", "partial_sum"), diag.to_csv_rows())
         with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
@@ -220,10 +220,8 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         return 0
 
     if task == "inequality":
-        reports = verify_domination(model, params["bound"],
-                                    params["thresholds"],
-                                    params.get("replicas", 10_000),
-                                    params.get("n", 256),
+        reports = verify_domination(model, params["bound"], params["thresholds"],
+                                    params["replicas"], params["n"],
                                     stream.named("inequality"))
         write_csv(os.path.join(out_dir, "domination.csv"),
                   ("threshold", "bound", "p_hat", "ci_upper", "verdict"),
@@ -231,31 +229,27 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         return 0 if all(r.verdict == "dominated" for r in reports) else 1
 
     if task == "mdp-scan":
-        speed = SpeedSequence(gamma=params.get("gamma", 1.0 / 3.0))
-        report = mdp_scan(model, speed, params["n_grid"], params["x_grid"],
-                          params["sigma2"], params.get("method", "exact_binomial"),
-                          replicas=params.get("replicas", 0),
-                          stream=stream.named("mdp-scan"))
+        method = params["method"]
+        if method != "exact_binomial" and not params["replicas"]:
+            raise ConfigError(f"method {method} needs param replicas")
+        report = mdp_scan(model, SpeedSequence(gamma=params["gamma"]), params["n_grid"],
+                          params["x_grid"], params["sigma2"], method,
+                          replicas=params["replicas"], stream=stream.named("mdp-scan"))
         report.to_csv(os.path.join(out_dir, "mdp_scan.csv"))
         with open(os.path.join(out_dir, "mdp_scan.json"), "w") as fh:
             fh.write(report.to_json())
         return 0
 
     if task == "diophantine":
-        a = _irrational_from_cfg(params.get("a", "golden"))
-        action = params.get("action", "convergents")
-        K = params.get("K", 30)
-        if action == "convergents":
-            convs = convergents(cf_expand(a, K), spec=a)
+        a = _irrational_from_cfg(params["a"])
+        if params["action"] == "convergents":
+            convs = convergents(cf_expand(a, params["K"]), spec=a)
             write_csv(os.path.join(out_dir, "convergents.csv"),
                       ("k", "p", "q"), [(c.k, c.p, c.q) for c in convs])
             return 0
-        if action == "audit":
-            hits = badly_approximable_audit(a, params.get("eps", 0.1), K)
-            write_csv(os.path.join(out_dir, "audit.csv"),
-                      ("k",), [(k,) for k in hits])
-            return 0
-        raise ConfigError(f"unknown diophantine action {action!r}")
+        hits = badly_approximable_audit(a, params["eps"], params["K"])
+        write_csv(os.path.join(out_dir, "audit.csv"), ("k",), [(k,) for k in hits])
+        return 0
 
     if task == "transfer-decay":
         if model.kernel is None:
@@ -266,7 +260,7 @@ def _run_task(cfg: dict, out_dir: str) -> int:
                              "function on the circle; use the conditions task instead")
         nodes = np.asarray(kernel.nodes, dtype=float)
         f = nodes - kernel.mu(nodes)
-        report = sup_norm_decay(kernel, f, params.get("n_max", 64))
+        report = sup_norm_decay(kernel, f, params["n_max"])
         write_csv(os.path.join(out_dir, "decay.csv"),
                   ("n", "u_n"), report.to_csv_rows())
         with open(os.path.join(out_dir, "decay_fit.json"), "w") as fh:
@@ -276,9 +270,8 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         return 0
 
     if task == "decompose":
-        n = params.get("n", 4096)
-        m = params.get("m", 8)
-        path = model.sample(n, stream.named("decompose"))
+        m = params["m"]
+        path = model.sample(params["n"], stream.named("decompose"))
         dec = block_martingale_decompose(model, path, m)
         write_csv(os.path.join(out_dir, "decompose.csv"),
                   ("block", "block_sum", "cond_mean", "increment"),
@@ -315,7 +308,7 @@ SCHEMA = {
     "seed": "nonnegative integer (optional)",
     "model": "model spec object with 'kind' in {iid, alternating, linear, "
              "iterated, expanding, circle, counterexample}",
-    "params": {t: sorted(ks) for t, ks in _PARAM_KEYS.items()},
+    "params": {t: sorted(ks) for t, ks in _PARAMS.items()},
     "output_dir": "directory for CSV/JSON outputs (optional, default '.')",
 }
 
@@ -393,7 +386,7 @@ def _demo_suite(seed: int) -> int:
         def chunk_hits(rows, rng):
             return int(np.sum(np.sum(model.sample_block(n, len(rows), rng), axis=1) >= t))
 
-        hits = sum(map_replicas(reps, 1024, stream.named("demo", n), chunk_hits))
+        hits = sum(map_replicas(reps, REPLICA_CHUNK, stream.named("demo", n), chunk_hits))
         est = a_n * np.log(max(hits, 1) / reps)
         print(f"  n={n}: a_n*logP ~ {est:+.3f} (threshold {t:.1f}, hits {hits})")
     print("gaps need not shrink here; this model is outside the dominated family")

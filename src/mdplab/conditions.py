@@ -26,7 +26,6 @@ __all__ = [
     "check_s2inf",
     "check_kac",
     "check_class_L",
-    "class_L_integral",
     "phi_coefficients",
 ]
 
@@ -34,6 +33,11 @@ __all__ = [
 # range; the split of the |log t|^-gamma family at gamma = 1/2 maps to fitted
 # exponents -1.1 vs -1.0, so the cut sits between them
 POWER_CUT = -1.05
+
+# check_class_L sums its integral over the dyadic blocks [2^-(j+1), 2^-j],
+# j = 1..CLASS_L_BLOCKS, each by the trapezoid rule on CLASS_L_POINTS points
+CLASS_L_BLOCKS = 200
+CLASS_L_POINTS = 65
 
 
 @dataclass
@@ -152,7 +156,7 @@ def check_bis(model: ProcessModel, n_max: int = 512,
               floor: float = 0.0) -> SeriesDiagnostic:
     """Sum over n of n^{-1/2} ||E(X_n | F_0)||_inf."""
     kernel, f = model.kernel, model.centered_observable()
-    norms = kernel.sup(orbit(kernel, f, n_max, center=True))
+    norms = kernel.sup(orbit(kernel, f, n_max))
     n = np.arange(1, n_max + 1, dtype=float)
     return diagnose_series(n ** (-0.5) * norms, floor=max(floor, dust_floor(f)))
 
@@ -193,7 +197,7 @@ def check_s2inf(model: ProcessModel, sigma2_ref: float,
 
 
 def check_kac(w: Callable[[float], float], tail: Callable[[int], float],
-              width: float, n_max: int = 2000) -> SeriesDiagnostic:
+              width: float, n_max: int) -> SeriesDiagnostic:
     """Series sum_n n^{-1/2} w(2*width*t_n) with t_n = sum_{k>=n} |c_k|;
     also evaluates the modulus integral criterion."""
     terms = np.empty(n_max)
@@ -201,37 +205,26 @@ def check_kac(w: Callable[[float], float], tail: Callable[[int], float],
         h = 2.0 * width * tail(n)
         terms[n - 1] = n ** (-0.5) * (w(h) if h > 0 else 0.0)
     diag = diagnose_series(terms)
-    integral, int_verdict, _ = class_L_integral(w)
+    int_verdict, integral, _ = check_class_L(w)
     diag.extra["integral_estimate"] = integral
     diag.extra["integral_verdict"] = int_verdict
     return diag
 
 
-def class_L_integral(c: Callable[[float], float], j_max: int = 200,
-                     points_per_block: int = 64):
-    """Dyadic evaluation of the integral of c(t)/(t sqrt(|log t|)) on (0, 1/2].
-
-    Blocks [2^-(j+1), 2^-j]; verdict from a power fit of block subtotals in j.
-    """
-    blocks = np.empty(j_max)
-    for j in range(1, j_max + 1):
-        hi, lo = 2.0 ** (-j), 2.0 ** (-j - 1)
-        t = np.linspace(lo, hi, points_per_block + 1)
-        g = np.array([c(ti) / (ti * np.sqrt(abs(np.log(ti)))) for ti in t])
-        blocks[j - 1] = np.trapezoid(g, t)
-    estimate = float(np.sum(blocks))
-    diag = diagnose_series(blocks)
-    return estimate, diag.verdict, blocks
-
-
-def check_class_L(c: Callable[[float], float], j_max: int = 200):
-    """Verdict + integral estimate for membership of the concave-modulus class.
+def check_class_L(c: Callable[[float], float]):
+    """(verdict, integral estimate, block subtotals) for membership of the
+    concave-modulus class: the integral of c(t)/(t sqrt(|log t|)) on (0, 1/2],
+    with the verdict from `diagnose_series` on the dyadic block subtotals.
 
     Only the integral near 0 is probed; concavity is not checked, so moduli
     concave only near 0, e.g. |log t|^(-gamma), are admitted.
     """
-    estimate, verdict, blocks = class_L_integral(c, j_max=j_max)
-    return verdict, estimate, blocks
+    blocks = np.empty(CLASS_L_BLOCKS)
+    for j in range(1, CLASS_L_BLOCKS + 1):
+        t = np.linspace(2.0 ** (-j - 1), 2.0 ** (-j), CLASS_L_POINTS)
+        g = np.array([c(ti) / (ti * np.sqrt(abs(np.log(ti)))) for ti in t])
+        blocks[j - 1] = np.trapezoid(g, t)
+    return diagnose_series(blocks).verdict, float(np.sum(blocks)), blocks
 
 
 def phi_coefficients(P: np.ndarray, pi: np.ndarray, n_max: int) -> np.ndarray:

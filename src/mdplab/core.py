@@ -136,7 +136,6 @@ class Path:
     """A finite trajectory x_1..x_n; immutable after construction."""
 
     values: np.ndarray
-    origin_seed: int
     states: Optional[np.ndarray] = None  # underlying Markov states, if the model has them
 
     def __post_init__(self):
@@ -156,28 +155,20 @@ class Path:
 
 @dataclass(frozen=True)
 class SpeedSequence:
-    """Speed a_n with a_n -> 0 and n*a_n -> infinity.
+    """Speed a_n = n**(-gamma) with 0 < gamma < 1, so a_n -> 0 and n*a_n -> infinity."""
 
-    Either a power rule a_n = n**(-gamma) with 0 < gamma < 1, or an explicit
-    list (caller's responsibility that it is admissible).
-    """
-
-    gamma: Optional[float] = None
-    explicit: Optional[Sequence[float]] = None
+    gamma: float
 
     def __post_init__(self):
-        if (self.gamma is None) == (self.explicit is None):
-            raise ValueError("exactly one of gamma / explicit must be given")
-        if self.gamma is not None and not (0.0 < self.gamma < 1.0):
+        if not 0.0 < self.gamma < 1.0:
             raise ValueError("power rule requires 0 < gamma < 1")
 
     def a(self, n: int) -> float:
-        if self.gamma is not None:
-            return float(n) ** (-self.gamma)
-        return float(self.explicit[n - 1])
+        return float(n) ** (-self.gamma)
 
 
 BATCH_CHUNK_VALUES = 2**16  # values per `sample_batch` chunk
+REPLICA_CHUNK = 1024  # replicas per chunk of maxima and naive hit counts
 
 
 @dataclass
@@ -224,7 +215,7 @@ class ProcessModel:
         if n < 1:
             raise ValueError("n must be >= 1")
         values, states = self._checked(self.sampler(n, stream.generator()), (n,))
-        return Path(values=values, origin_seed=stream.master_seed, states=states)
+        return Path(values=values, states=states)
 
     def sample_block(self, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
         """(reps, n) array of values: reps independent paths from one generator."""

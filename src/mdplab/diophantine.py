@@ -114,8 +114,9 @@ def sqrt2m1_spec() -> IrrationalSpec:
     return IrrationalSpec(kind="quadratic", P=-1, D=2, Q=1)  # sqrt(2)-1
 
 
-def liouville_literal(terms: int = 5) -> IrrationalSpec:
-    """Truncated sum of 10^(-j!): a literal violating every power-law lower bound."""
+def liouville_literal() -> IrrationalSpec:
+    """Sum of 10^(-j!) for j <= 5: a literal violating every power-law lower bound."""
+    terms = 5
     digits = max(math.factorial(j) for j in range(1, terms + 1)) + 2
     v = Fraction(0)
     for j in range(1, terms + 1):

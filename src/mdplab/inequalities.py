@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import betaincinv
 
-from .core import ProcessModel, RngStream, map_replicas
+from .core import REPLICA_CHUNK, ProcessModel, RngStream, map_replicas
 
 __all__ = [
     "BOUND_KINDS",
@@ -91,16 +91,16 @@ def blocking_bound_first_term(n: int, B: float, c: int, delta: float) -> float:
     return 2.0 * math.exp(-(delta * delta) * n / (64.0 * B * B * c))
 
 
-def clopper_pearson_upper(k: int, n: int, confidence: float = 0.95) -> float:
-    """Exact binomial upper confidence limit for k successes in n trials:
-    the `confidence` quantile of Beta(k + 1, n - k), read off the inverse
+def clopper_pearson_upper(k: int, n: int) -> float:
+    """Exact 95% binomial upper confidence limit for k successes in n trials:
+    the 0.95 quantile of Beta(k + 1, n - k), read off the inverse
     regularized incomplete beta function. It equals `scipy.stats.beta.ppf`,
     whose import the CLI does not pay for."""
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n, n >= 1")
     if k == n:
         return 1.0
-    return float(betaincinv(k + 1, n - k, confidence))
+    return float(betaincinv(k + 1, n - k, 0.95))
 
 
 @dataclass
@@ -143,13 +143,13 @@ def _bound_evaluator(model: ProcessModel, bound_spec: dict, n: int) -> Callable[
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
-def sample_maxima(model: ProcessModel, replicas: int, n: int, stream: RngStream,
-                  chunk: int = 1024) -> np.ndarray:
+def sample_maxima(model: ProcessModel, replicas: int, n: int,
+                  stream: RngStream) -> np.ndarray:
     """max_{k<=n} |S_k| of `replicas` independent paths of the model.
 
-    Each `map_replicas` chunk is one (chunk, n) block, so the run is
-    deterministic in (stream, chunk size) whatever the number of chunks in
-    flight, and memory stays bounded by one block per worker.
+    Each `map_replicas` chunk is one (REPLICA_CHUNK, n) block, so the run is
+    deterministic in the stream whatever the number of chunks in flight,
+    and memory stays bounded by one block per worker.
     """
     if replicas < 1000:
         raise ValueError("need at least 10^3 replicas for a meaningful verdict")
@@ -160,7 +160,7 @@ def sample_maxima(model: ProcessModel, replicas: int, n: int, stream: RngStream,
         np.abs(block, out=block)
         return np.max(block, axis=1)
 
-    return np.concatenate(map_replicas(replicas, chunk, stream, chunk_maxima))
+    return np.concatenate(map_replicas(replicas, REPLICA_CHUNK, stream, chunk_maxima))
 
 
 def grade_domination(model: ProcessModel, bound_spec: dict,
@@ -182,12 +182,12 @@ def grade_domination(model: ProcessModel, bound_spec: dict,
 
 def verify_domination(model: ProcessModel, bound_spec: dict,
                       thresholds: Sequence[float], replicas: int, n: int,
-                      stream: RngStream, chunk: int = 1024):
+                      stream: RngStream):
     """Empirical P(max_k |S_k| >= t) vs analytic bound, per threshold:
     `sample_maxima`, then `grade_domination`. A spec the model cannot
     satisfy is refused before any sampling."""
     _bound_evaluator(model, bound_spec, n)
-    maxima = sample_maxima(model, replicas, n, stream, chunk)
+    maxima = sample_maxima(model, replicas, n, stream)
     return grade_domination(model, bound_spec, thresholds, maxima, n)
 
 

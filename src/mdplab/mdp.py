@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import expit, gammaln, logsumexp, ndtr
 
-from .core import ProcessModel, RngStream, SpeedSequence, map_replicas, write_csv
+from .core import REPLICA_CHUNK, ProcessModel, RngStream, SpeedSequence, map_replicas, write_csv
 from .processes import IIDSpec
 from .transfer import CircleFourierKernel, orbit
 
@@ -35,6 +35,9 @@ __all__ = [
     "empirical_mdp_point",
     "mdp_scan",
 ]
+
+J_GRID = 2048  # intervals of the uniform grid that refines a path for rate_J_weighted
+TILTED_CHUNK = 256  # replicas per chunk of the tilted estimator
 
 
 @dataclass(frozen=True)
@@ -89,16 +92,17 @@ def rate_I(h: PiecewiseLinearPath, sigma2: float) -> float:
 
 
 def rate_J_weighted(h: PiecewiseLinearPath, g: Callable[[np.ndarray], np.ndarray],
-                    sigma2: float, grid_points: int = 2048) -> float:
-    """(1 / 2 sigma^2) * integral of (h'/g)^2 for a positive Lipschitz weight g."""
+                    sigma2: float) -> float:
+    """(1 / 2 sigma^2) * integral of (h'/g)^2 for a positive Lipschitz weight g;
+    at sigma^2 = 0, as in `rate_I`, J(0) = 0 and J(h != 0) = +inf."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    fine = np.linspace(0.0, 1.0, grid_points + 1)
+    fine = np.linspace(0.0, 1.0, J_GRID + 1)
     gv = np.asarray(g(fine), dtype=float)
     if np.min(gv) <= 0.0:
         raise ValueError("weight g must be bounded away from 0 on [0,1]")
     if sigma2 == 0.0:
-        return math.inf
+        return 0.0 if np.all(h.values == 0.0) else math.inf
     # mesh = path breakpoints refined by the evaluation grid
     mesh = np.unique(np.concatenate([h.breakpoints, fine]))
     slopes = h.slopes
@@ -140,7 +144,7 @@ class BlockDecomposition:
 def _cond_block_means(kernel, f_values: np.ndarray, start_states: np.ndarray,
                       m: int) -> np.ndarray:
     """E(sum of next m observables | start state) per block start."""
-    cum = np.sum(orbit(kernel, f_values, m, center=True), axis=0)
+    cum = np.sum(orbit(kernel, f_values, m), axis=0)
     return kernel.eval(cum, np.asarray(start_states, dtype=float))
 
 
@@ -319,7 +323,7 @@ def _tilted_two_point(spec: IIDSpec, theta: float):
 
 
 def tilted_is_estimator(spec: IIDSpec, n: int, t: float, replicas: int,
-                        stream: RngStream, chunk: int = 256):
+                        stream: RngStream):
     """(log P(S_n >= t) estimate, SE of the log) by exponential tilting.
 
     The tilt theta* centers the sampling law at t/n, so the indicator fires
@@ -349,7 +353,7 @@ def tilted_is_estimator(spec: IIDSpec, n: int, t: float, replicas: int,
 
     w_sum = 0.0
     w2_sum = 0.0
-    for w1, w2 in map_replicas(replicas, chunk, stream, chunk_weights):  # ascending ci
+    for w1, w2 in map_replicas(replicas, TILTED_CHUNK, stream, chunk_weights):  # ascending ci
         w_sum += w1
         w2_sum += w2
     mean_w = w_sum / replicas
@@ -421,7 +425,7 @@ def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
             block = model.sample_block(n, len(rows), rng)
             return int(np.sum(np.sum(block, axis=1) >= t))
 
-        hits = sum(map_replicas(replicas, 1024, stream.named("naive", n), chunk_hits))
+        hits = sum(map_replicas(replicas, REPLICA_CHUNK, stream.named("naive", n), chunk_hits))
         if hits == 0:
             return MdpPointEstimate(n=n, a_n=a_n, x=x, method=method, threshold=t,
                                     estimate=None, flags=("no_exceedance",))

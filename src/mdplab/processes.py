@@ -150,7 +150,6 @@ class IteratedFunctionSpec:
 
     rho: float = 0.5
     observable: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    burn_in_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -179,12 +178,6 @@ class CircleWalkSpec:
 
     a: float
     coeffs: dict = field(default_factory=lambda: {1: 0.5, -1: 0.5})
-    rational_ok: bool = False  # test-only bypass
-    a_is_rational: bool = False
-
-    def __post_init__(self):
-        if self.a_is_rational and not self.rational_ok:
-            raise ValueError("rational step a is rejected (irrational rotation required)")
 
 
 @dataclass(frozen=True)
@@ -335,7 +328,7 @@ def _ar1_path(y0: float, drive: np.ndarray, rho: float) -> np.ndarray:
 
 def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
     rho = spec.rho
-    burn = int(math.ceil(math.log(spec.burn_in_tol) / math.log(rho)))
+    burn = int(math.ceil(math.log(1e-12) / math.log(rho)))  # rho^burn <= 1e-12
     kernel = ChebyshevKernel.iterated(rho)
     nodes = kernel.nodes
     f = spec.observable if spec.observable is not None else (lambda y: y)

@@ -38,6 +38,7 @@ CHEB_POINTS = 48  # Chebyshev nodes of the spectral kernels
 GAUSS_BRANCHES = 2048  # Gauss-map branches summed one by one; the rest in closed form
 SUP_GRID = 4096  # spectral sup norms are read on the uniform grid j/SUP_GRID
 CIRCLE_MAX_MODE = 256  # 4K + 1 <= 1025 circle nodes: an 8 MB matrix, a 34 MB sup grid
+SQUARE_NORM_CAP = 65536  # most steps of `conditional_square_norm`, two applies each
 
 __all__ = [
     "GridFunction",
@@ -138,7 +139,7 @@ class Kernel:
 class _UniformGridKernel(Kernel):
     """Base for kernels on the [0,1] grid with Lebesgue-invariant measure."""
 
-    def __init__(self, n_points: int = DEFAULT_GRID):
+    def __init__(self, n_points: int):
         self.n_points = n_points
         self.nodes = np.linspace(0.0, 1.0, n_points + 1)
 
@@ -166,15 +167,14 @@ class GaussPFKernel(_UniformGridKernel):
     """PF operator of the Gauss map wrt its invariant measure 1/((1+x) ln 2).
 
     The branch weight h(1/(k+x)) / (h(x)(k+x)^2) simplifies to the telescoping
-    form (1+x)/((k+x)(k+x+1)), summing to 1 exactly; the truncated tail mass
-    (1+x)/(k_max+1+x) is lumped at its mass-weighted mean branch point, which
-    keeps the operator stochastic to rounding.
+    form (1+x)/((k+x)(k+x+1)), summing to 1 exactly; the tail mass (1+x)/(501+x)
+    of the branches k > 500 is lumped at its mass-weighted mean branch point,
+    which keeps the operator stochastic to rounding.
     """
 
-    def __init__(self, n_points: int = DEFAULT_GRID, k_max: int = 500,
-                 tail_terms: int = 4000):
+    def __init__(self, n_points: int = DEFAULT_GRID):
         super().__init__(n_points)
-        self.k_max = k_max
+        k_max, tail_terms = 500, 4000
         x = self.nodes
         ks = np.arange(1, k_max + 1, dtype=float)[:, None]
         w = (1.0 + x) / ((ks + x) * (ks + x + 1.0))
@@ -186,7 +186,6 @@ class GaussPFKernel(_UniformGridKernel):
         y_tail = num / t_mass
         self._branch_points = np.vstack([1.0 / (ks + x), y_tail[None, :]])
         self._branch_weights = np.vstack([w, t_mass[None, :]])
-        self.weight_tail = float(np.max(np.abs(1.0 - self._branch_weights.sum(axis=0))))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         f = GridFunction(values)
@@ -201,15 +200,15 @@ class IteratedFunctionKernel(_UniformGridKernel):
     """Kernel of Y' = rho*Y + (1-rho)*eps, eps ~ uniform[0,1].
 
     One transition integrates f over [rho*y, rho*y + 1 - rho]; the invariant
-    density is obtained by power iteration of the adjoint and cached.
+    density is obtained by at most 200 power iterations of the adjoint and cached.
     """
 
-    def __init__(self, rho: float, n_points: int = DEFAULT_GRID, power_iters: int = 200):
+    def __init__(self, rho: float, n_points: int = DEFAULT_GRID):
         super().__init__(n_points)
         if not 0.0 < rho < 1.0:
             raise ValueError("rho must be in (0,1)")
         self.rho = rho
-        self._inv_density = self._stationary_density(power_iters)
+        self._inv_density = self._stationary_density()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         f = GridFunction(values)
@@ -220,11 +219,11 @@ class IteratedFunctionKernel(_UniformGridKernel):
         hi = lo + (1.0 - self.rho)
         return (F.eval(hi) - F.eval(lo)) / (1.0 - self.rho)
 
-    def _stationary_density(self, iters: int) -> np.ndarray:
+    def _stationary_density(self) -> np.ndarray:
         # adjoint step: p'(y) = (1/(1-rho)) * integral of p over {x : rho*x <= y <= rho*x+1-rho}
         p = np.ones_like(self.nodes)
         h = 1.0 / self.n_points
-        for _ in range(iters):
+        for _ in range(200):
             cum = np.concatenate([[0.0], np.cumsum((p[:-1] + p[1:]) * 0.5 * h)])
             P = GridFunction(cum)
             lo = np.clip((self.nodes - (1.0 - self.rho)) / self.rho, 0.0, 1.0)
@@ -243,23 +242,20 @@ class IteratedFunctionKernel(_UniformGridKernel):
 
 
 class FiniteStateKernel(Kernel):
-    """Finite-state chain: apply = P @ v, mu = pi . v."""
+    """Finite-state chain on the values `states`: apply = P @ v, mu = pi . v."""
 
-    def __init__(self, P: np.ndarray, pi: Optional[np.ndarray] = None,
-                 states: Optional[np.ndarray] = None, noise_var: float = 0.0):
+    def __init__(self, P: np.ndarray, states: np.ndarray, noise_var: float = 0.0):
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be square")
         if np.any(P < -1e-15) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("P must be row-stochastic")
         self.P = P
-        if pi is None:
-            pi = stationary_distribution(P)
-        pi = np.asarray(pi, dtype=float)
+        pi = stationary_distribution(P)
         if np.max(np.abs(P.T @ pi - pi)) > 1e-12:
             raise ValueError("pi is not stationary for P")
         self.pi = pi
-        self.nodes = np.arange(P.shape[0]) if states is None else np.asarray(states, dtype=float)
+        self.nodes = np.asarray(states, dtype=float)
         self.noise_var = noise_var
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -495,7 +491,7 @@ class ChebyshevKernel(_CollocationKernel):
         if err > 1e-10 * float(np.max(np.abs(fx))):
             raise ValueError(f"observable is not resolved by the {self.nodes.size}-point "
                              f"spectral kernel (interpolation error {err:.1e}); non-smooth "
-                             "observables need the uniform-grid kernels")
+                             "observables are not supported")
         return fx
 
     def eval(self, values: np.ndarray, y) -> np.ndarray:
@@ -526,21 +522,20 @@ class DecayReport:
         return [(i + 1, float(ui)) for i, ui in enumerate(self.u)]
 
 
-def orbit(kernel: Kernel, f: np.ndarray, n_max: int, center: bool = False) -> np.ndarray:
-    """Rows K^1 f, ..., K^{n_max} f as one (n_max, len(f)) array.
+def orbit(kernel: Kernel, f: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows K^1 f - mu(f), ..., K^{n_max} f - mu(f) as one (n_max, len(f)) array.
 
     Every power K^k f of a kernel is taken here; callers reduce the rows
-    with `Kernel.sup`, a cumulative sum or a sum. With `center` the rows are
-    K^k f - mu(f), subtracted in place. The array holds n_max * len(f)
-    floats: 134 MB for n_max = 4096 on a 4097-node grid kernel.
+    with `Kernel.sup`, a cumulative sum or a sum. mu(f) is subtracted in
+    place. The array holds n_max * len(f) floats: 134 MB for n_max = 4096
+    on a 4097-node grid kernel.
     """
     v = np.asarray(f, dtype=float)
     out = np.empty((n_max,) + v.shape)
     for k in range(n_max):
         v = kernel.apply(v)
         out[k] = v
-    if center:
-        out -= kernel.mu(f)
+    out -= kernel.mu(f)
     return out
 
 
@@ -550,7 +545,7 @@ def dust_floor(f_values: np.ndarray) -> float:
     return 1e-13 * float(np.max(np.abs(f_values)))
 
 
-def _geometric_fit(u: np.ndarray, floor: float = 0.0):
+def _geometric_fit(u: np.ndarray, floor: float):
     """Least squares log-linear fit u_n ~ kappa * rho^n on the tail above `floor`."""
     n = np.arange(1, u.size + 1)
     mask = u > max(floor, 1e-300)
@@ -575,7 +570,7 @@ def sup_norm_decay(kernel: Kernel, f_values: np.ndarray, n_max: int) -> DecayRep
     # invariance sanity: one kernel step must preserve the integral
     if abs(kernel.mu(kernel.apply(f_values)) - mu_f) > 1e-6 * (1.0 + abs(mu_f)):
         raise ValueError("kernel does not preserve its declared invariant measure")
-    u = kernel.sup(orbit(kernel, f_values, n_max, center=True))
+    u = kernel.sup(orbit(kernel, f_values, n_max))
     increasing = 0
     diverged = False
     for k in range(3, n_max - 1):
@@ -592,12 +587,12 @@ def sup_norm_decay(kernel: Kernel, f_values: np.ndarray, n_max: int) -> DecayRep
 def conditional_sum_norm_profile(kernel: Kernel, f_values: np.ndarray, n_max: int) -> np.ndarray:
     """Exact ||E(S_n | F_0)||_inf = max_x |sum_{k<=n} (K^k f - mu f)(x)| for a
     kernel model, for every n = 1..n_max in one sweep."""
-    rows = orbit(kernel, f_values, n_max, center=True)
+    rows = orbit(kernel, f_values, n_max)
     return kernel.sup(np.cumsum(rows, axis=0, out=rows))
 
 
 def conditional_square_norm(kernel: Kernel, f_values: np.ndarray, n: int,
-                            sigma2_ref: float, n_cap: int = 65536) -> float:
+                            sigma2_ref: float) -> float:
     """max_x |n^{-1} E_x(S_n^2) - sigma2_ref| by backward dynamic programming.
 
     With u_i = E(sum_{k>=i} X_k | state_{i-1}) and w_i the conditional second
@@ -605,8 +600,8 @@ def conditional_square_norm(kernel: Kernel, f_values: np.ndarray, n: int,
     E_x(S_n^2) = w_1(x). Independent additive observation noise contributes
     n * noise_var.
     """
-    if n > n_cap:
-        raise ValueError(f"n = {n} exceeds the cost cap {n_cap} "
+    if n > SQUARE_NORM_CAP:
+        raise ValueError(f"n = {n} exceeds the cost cap {SQUARE_NORM_CAP} "
                          f"(about {n} kernel applications needed)")
     f = np.asarray(f_values, dtype=float)
     u = np.zeros_like(f)

@@ -234,6 +234,9 @@ def test_inequality_without_bound_is_config_error(tmp_path, capsys):
     assert "missing params" in capsys.readouterr().err
 
 
+SCAN = {"n_grid": [64], "x_grid": [1.0], "sigma2": 1.0}
+
+
 @pytest.mark.parametrize("task,model,params", [
     ("sigma2", {"kind": "iid"}, {"method": "var_sn", "n_grid": [100, "x"]}),
     ("mdp-scan", {"kind": "iid"}, {"n_grid": [100], "x_grid": [1.0], "sigma2": "one"}),
@@ -252,6 +255,13 @@ def test_inequality_without_bound_is_config_error(tmp_path, capsys):
     ("sigma2", None, {"method": "fourier_closed_form", "coeffs": {"1": [0.5]}, "a": 0.6}),
     ("simulate", {"kind": "iid"}, {"n": True}),
     ("conditions", {"kind": "circle", "a": "golden"}, {"check": ["bis"]}),
+    ("conditions", {"kind": "circle", "a": "golden"}, {"check": "kac"}),
+    ("sigma2", {"kind": "iid"}, {"method": "bogus"}),
+    ("diophantine", None, {"action": "paroux"}),
+    ("mdp-scan", {"kind": "iid"}, {**SCAN, "method": "bogus"}),
+    ("mdp-scan", {"kind": "iid"}, {**SCAN, "gamma": 1.5}),
+    ("mdp-scan", {"kind": "iid"}, {**SCAN, "method": "tilted"}),  # no replicas
+    ("mdp-scan", {"kind": "iid"}, {**SCAN, "method": "naive"}),  # no replicas
 ])
 def test_malformed_param_types_are_config_errors(tmp_path, capsys, task, model, params):
     cfg = {"task": task, "params": params, "output_dir": str(tmp_path / "out")}

@@ -11,7 +11,6 @@ from mdplab.conditions import (
     check_kac,
     check_mw,
     check_s2inf,
-    class_L_integral,
     diagnose_series,
     phi_coefficients,
 )

@@ -76,7 +76,7 @@ def test_child_never_coincides_with_named_decimal(index):
 
 
 def test_path_is_write_protected():
-    p = Path(values=np.array([1.0, -1.0]), origin_seed=0)
+    p = Path(values=np.array([1.0, -1.0]))
     with pytest.raises((ValueError, RuntimeError)):
         p.values[0] = 5.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mdplab.core import ProcessModel, RngStream
+from mdplab.core import REPLICA_CHUNK, ProcessModel, RngStream
 from mdplab.inequalities import (
     azuma_bound,
     blocking_bound_first_term,
@@ -85,10 +85,9 @@ def test_clopper_pearson_equals_scipy_stats_on_a_grid():
     # scipy.stats distribution's ppf to the bit
     for n in list(range(1, 60)) + [1000, 4096, 100_000, 10**6]:
         ks = range(n) if n < 60 else sorted({*range(40), *range(0, n, n // 97), n - 1})
-        for confidence in (0.5, 0.95, 0.99):
-            for k in ks:
-                want = float(stats.beta.ppf(confidence, k + 1, n - k))
-                assert clopper_pearson_upper(k, n, confidence) == want, (k, n, confidence)
+        for k in ks:
+            assert clopper_pearson_upper(k, n) == float(stats.beta.ppf(0.95, k + 1, n - k)), \
+                (k, n)
 
 
 def test_verify_domination_iid_azuma():
@@ -129,11 +128,11 @@ def test_verify_domination_replica_floor():
 
 def test_verify_domination_matches_per_replica_loop():
     model = make_iid(IIDSpec())
-    n, replicas, chunk = 64, 2500, 1024
+    n, replicas, chunk = 64, 2500, REPLICA_CHUNK  # 3 chunks, the last one short
     thresholds = [24.0, 32.0, 40.0]
     stream = STREAM.named("dom-loop")
     reports = verify_domination(model, {"kind": "azuma", "c": 1.0}, thresholds,
-                                replicas, n, stream, chunk=chunk)
+                                replicas, n, stream)
     # reference: one sampler call per replica, chunk ci from stream.child(ci)
     maxima = []
     for ci, start in enumerate(range(0, replicas, chunk)):
@@ -160,7 +159,8 @@ POOL_MODELS = {
 def test_verify_domination_matches_serial_chunk_loop(chunk_workers, key, workers):
     chunk_workers(workers)
     model = POOL_MODELS[key]()
-    n, replicas, chunk = 48, 2300, 256  # 9 chunks, the last one short
+    n, chunk = 48, REPLICA_CHUNK
+    replicas = 4 * chunk + 300  # 5 chunks, the last one short
     stream = STREAM.named(f"dom-pool-{key}")
     # reference: the chunks one after another, out-of-place arithmetic
     maxima = []
@@ -171,8 +171,7 @@ def test_verify_domination_matches_serial_chunk_loop(chunk_workers, key, workers
     maxima = np.concatenate(maxima)
     # every observed maximum is a threshold, so each replica's value is pinned
     thresholds = np.unique(maxima)
-    reports = verify_domination(model, {"kind": "azuma"}, thresholds, replicas, n,
-                                stream, chunk=chunk)
+    reports = verify_domination(model, {"kind": "azuma"}, thresholds, replicas, n, stream)
     assert [r.p_hat for r in reports] == \
         [np.sum(maxima >= t) / replicas for t in thresholds]
 
@@ -191,8 +190,8 @@ def test_verify_domination_reraises_chunk_3_bound_error(chunk_workers, workers):
 
     model = ProcessModel(name="chunk3", bound=1.0, sampler=sampler)
     with pytest.raises(RuntimeError, match="exceeds bound"):
-        verify_domination(model, {"kind": "azuma"}, [10.0], replicas=2000, n=16,
-                          stream=stream, chunk=256)
+        verify_domination(model, {"kind": "azuma"}, [10.0], replicas=5 * REPLICA_CHUNK,
+                          n=16, stream=stream)
 
 
 def test_verify_domination_is_sample_then_grade():
@@ -200,8 +199,8 @@ def test_verify_domination_is_sample_then_grade():
     n, replicas, thresholds = 64, 2100, [16.0, 24.0, 20.0]
     stream = STREAM.named("split")
     whole = verify_domination(model, {"kind": "puw", "x_inf": 1.0}, thresholds,
-                              replicas, n, stream, chunk=512)
-    maxima = sample_maxima(model, replicas, n, stream, chunk=512)
+                              replicas, n, stream)
+    maxima = sample_maxima(model, replicas, n, stream)
     split = grade_domination(model, {"kind": "puw", "x_inf": 1.0}, thresholds, maxima, n)
     assert whole == split
     assert [r.threshold for r in split] == sorted(thresholds)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from mdplab.core import RngStream, SpeedSequence
+from mdplab.core import REPLICA_CHUNK, RngStream, SpeedSequence
 from mdplab.mdp import (
+    TILTED_CHUNK,
     PiecewiseLinearPath,
     _cgf,
     _cond_block_means,
@@ -66,6 +67,10 @@ def test_rate_zero_sigma_convention():
     flat = PiecewiseLinearPath(breakpoints=np.array([0.0, 1.0]),
                                values=np.array([0.0, 0.0]))
     assert rate_I(flat, 0.0) == endpoint_rate(0.0, 0.0) == 0.0
+    # with g = 1 the weighted rate is rate_I, point mass included
+    one = lambda t: np.ones_like(t)
+    assert rate_J_weighted(flat, one, 0.0) == rate_I(flat, 0.0) == 0.0
+    assert rate_J_weighted(h, one, 0.0) == math.inf
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0),
@@ -301,8 +306,8 @@ def test_naive_point_matches_serial_chunk_loop(chunk_workers, workers):
                                 stream=stream, sigma2=0.08)  # sigma^2 = 0.0757
     sub = stream.named("naive", n)
     hits = 0
-    for ci, start in enumerate(range(0, replicas, 1024)):
-        block = model.sample_block(n, min(1024, replicas - start),
+    for ci, start in enumerate(range(0, replicas, REPLICA_CHUNK)):
+        block = model.sample_block(n, min(REPLICA_CHUNK, replicas - start),
                                    sub.child(ci).generator())
         hits += int(np.sum(np.sum(block, axis=1) >= point.threshold))
     p_hat = hits / replicas
@@ -314,10 +319,10 @@ def test_naive_point_matches_serial_chunk_loop(chunk_workers, workers):
 def test_tilted_estimator_matches_serial_chunk_loop(chunk_workers, workers):
     chunk_workers(workers)
     spec = IIDSpec(law="uniform", c=1.0)
-    n, replicas, chunk = 100, 2100, 256  # 9 chunks, the last one short
+    n, replicas, chunk = 100, 2100, TILTED_CHUNK  # 9 chunks, the last one short
     t = 0.4 * n
     stream = STREAM.named("tilt-pool")
-    est, se = tilted_is_estimator(spec, n, t, replicas, stream, chunk=chunk)
+    est, se = tilted_is_estimator(spec, n, t, replicas, stream)
     # reference: chunk sums added in ascending ci, as the serial loop adds them
     theta = _solve_tilt(spec, t / n)
     nk = float(n * _cgf(spec)[0](theta))
@@ -341,10 +346,10 @@ SKEWED = IIDSpec(law="two_point", p=0.25, a=3.0, b=-1.0)
 @pytest.mark.parametrize("spec", [IIDSpec(), SKEWED], ids=["rademacher", "skewed"])
 def test_tilted_two_point_is_the_serial_binomial_loop(chunk_workers, spec, workers):
     chunk_workers(workers)
-    n, replicas, chunk = 100, 2100, 256  # 9 chunks, the last one short
+    n, replicas, chunk = 100, 2100, TILTED_CHUNK  # 9 chunks, the last one short
     t = 0.4 * n
     stream = STREAM.named("tilt-binomial")
-    est, se = tilted_is_estimator(spec, n, t, replicas, stream, chunk=chunk)
+    est, se = tilted_is_estimator(spec, n, t, replicas, stream)
     # reference: one binomial count per replica, chunk sums added in ascending ci
     theta = _solve_tilt(spec, t / n)
     nk = float(n * _cgf(spec)[0](theta))

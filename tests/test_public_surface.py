@@ -1,4 +1,6 @@
-"""Every name a module exports is referenced by library code, or listed here."""
+"""Every name a module exports is referenced by library code, or listed here,
+and every parameter default in the library is listed here with the callers
+that need a value other than it."""
 
 import ast
 import pathlib
@@ -22,6 +24,53 @@ UNREFERENCED = {
     "IteratedFunctionKernel": "grid reference kernel the benchmark probe imports (ROADMAP item 2)",
 }
 
+_SAMPLER_REPS = ("sampler contract: `sample` draws one path (reps None), "
+                 "`sample_block` and `sample_rows` a block of reps rows")
+
+# `qualname.param` of every def parameter with a default, with the callers
+# that set it to different values
+KNOBS = {
+    "main.argv": "the console script passes none (sys.argv); tests pass argument lists",
+    "diagnose_series.floor": "check_bis and check_mw pass their floor; check_kac, "
+                             "check_class_L and tests pass none",
+    "check_mw.n_max": "acceptance 128, CLI `n_max`, perfbench up to 4096",
+    "check_mw.floor": "acceptance 0 or 1e-12, CLI `floor`, perfbench 0",
+    "check_bis.n_max": "acceptance 128, CLI `n_max`, perfbench up to 4096",
+    "check_bis.floor": "acceptance 0 or 1e-12, CLI `floor`, perfbench 0",
+    "RngStream.named.replica": "one stream per name (`sigma2`, `c7-rates`) or one per "
+                               "replica or size (`simulate` r, `naive` n, `var_sn_m`)",
+    "convergents.spec": "the CLI and criterion 5 pass the irrational; perfbench expands "
+                        "bare quotients",
+    "block_martingale_decompose.check_blocks": "criterion 8 checks 16 blocks, the CLI "
+                                               "decompose task 4, a test 8",
+    "empirical_mdp_point.replicas": "mdp_scan passes the CLI's replicas; criterion 1's "
+                                    "exact oracle draws nothing",
+    "empirical_mdp_point.stream": "mdp_scan passes the CLI's stream; criterion 1's exact "
+                                  "oracle draws nothing",
+    "empirical_mdp_point.sigma2": "mdp_scan passes the config's sigma2; perfbench's naive "
+                                  "points read the model's meta; exact points need none",
+    "mdp_scan.replicas": "the CLI passes the config's replicas; exact scans in tests pass none",
+    "mdp_scan.stream": "the CLI passes named('mdp-scan'); exact scans in tests pass none",
+    **dict.fromkeys(
+        [f"{builder}.sampler.reps" for builder in (
+            "make_iid", "make_alternating_plus_iid", "make_linear_process",
+            "make_iterated_function", "make_expanding_map", "make_circle_walk",
+            "make_counterexample_chain")] + ["_digit_shift_orbit.reps", "_gauss_orbit.reps"],
+        _SAMPLER_REPS),
+    "GridFunction.from_callable.n_points": "criterion 4 at DEFAULT_GRID; transfer tests "
+                                           "257 to 4097 nodes",
+    "IntegerBetaPFKernel.__init__.n_points": "criterion 4 at DEFAULT_GRID; transfer "
+                                             "tests 1024 and 2048",
+    "GaussPFKernel.__init__.n_points": "perfbench's build probe at DEFAULT_GRID; transfer "
+                                       "tests 512 and 2048",
+    "IteratedFunctionKernel.__init__.n_points": "perfbench's build probe at DEFAULT_GRID; "
+                                                "a transfer test 512",
+    "FiniteStateKernel.__init__.noise_var": "the alternating model passes its noise "
+                                            "variance; the iid chains have none",
+    "sigma2_circle_fourier.k_max": "the CLI passes `k_support`, None or a mode cut-off; "
+                                   "criterion 2 and tests sum every mode",
+}
+
 
 def _exports(tree):
     for node in tree.body:
@@ -43,3 +92,26 @@ def test_every_export_is_referenced_or_listed():
                 used.add(node.attr)
     exported = {name for tree in trees for name in _exports(tree)}
     assert exported - used == set(UNREFERENCED)
+
+
+def _defaults(node, prefix=""):
+    """`qualname.param` of each parameter with a default, nested defs included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + child.name
+            args = child.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{name}.{a.arg}" for a in with_default)
+            yield from _defaults(child, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defaults(child, prefix + child.name + ".")
+        else:
+            yield from _defaults(child, prefix)
+
+
+def test_every_default_is_a_listed_knob():
+    found = [k for p in sorted(SRC.glob("*.py")) for k in _defaults(ast.parse(p.read_text()))]
+    assert len(found) == len(set(found))
+    assert set(found) == set(KNOBS)

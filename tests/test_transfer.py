@@ -369,7 +369,7 @@ def test_decay_fit_ignores_rounding_dust(beta):
     k = ChebyshevKernel.integer_beta(beta)
     rep = sup_norm_decay(k, k.nodes - k.mu(k.nodes), 64)
     assert abs(rep.rho * beta - 1.0) <= 1e-3
-    assert _geometric_fit(rep.u)[1] * beta > 1.1
+    assert _geometric_fit(rep.u, 0.0)[1] * beta > 1.1
 
 
 def test_orbit_rows_are_kernel_powers():
@@ -378,7 +378,8 @@ def test_orbit_rows_are_kernel_powers():
     rows = orbit(k, f, 5)
     assert rows.shape == (5, 2)
     for n in range(1, 6):
-        assert np.allclose(rows[n - 1], np.linalg.matrix_power(k.P, n) @ f, atol=1e-15)
+        assert np.allclose(rows[n - 1], np.linalg.matrix_power(k.P, n) @ f - k.mu(f),
+                           atol=1e-15)
 
 
 def test_sup_norm_decay_with_no_steps_returns_empty():
