@@ -47,15 +47,17 @@ TASKS = ("simulate", "sigma2", "conditions", "inequality", "mdp-scan",
 _TOP_KEYS = {"task", "seed", "model", "params", "output_dir"}
 
 # each task's params with their defaults; REQUIRED marks a param the config
-# must give, and a tuple lists the allowed values, the default first
+# must give, a tuple lists the allowed values, the default first, and a dict
+# does too, with the further params that each value takes
 REQUIRED = object()
 
 _PARAMS = {
     "simulate": {"n": 1024, "replicas": 100},
-    "sigma2": {"method": ("covariance_series", "dyadic", "var_sn", "fourier_closed_form"),
-               "n": 10_000, "replicas": 100, "k_max": 50, "j_max": 8,
-               "n_grid": [256, 512, 1024, 2048], "coeffs": None, "a": None,
-               "k_support": None},
+    "sigma2": {"method": {
+        "covariance_series": {"n": 10_000, "replicas": 100, "k_max": 50},
+        "dyadic": {"n": 10_000, "replicas": 100, "j_max": 8},
+        "var_sn": {"replicas": 100, "n_grid": [256, 512, 1024, 2048]},
+        "fourier_closed_form": {"coeffs": REQUIRED, "a": REQUIRED, "k_support": None}}},
     "conditions": {"check": ("bis", "mw"), "n_max": 256, "floor": 0.0},
     "inequality": {"bound": REQUIRED, "thresholds": REQUIRED, "replicas": 10_000, "n": 256},
     "mdp-scan": {"gamma": 1.0 / 3.0, "n_grid": REQUIRED, "x_grid": REQUIRED,
@@ -94,6 +96,20 @@ _PARAM_TYPES = {
 }
 
 
+def _table(task: str, params: dict) -> dict:
+    """The task's params with their defaults, each dict-valued param
+    replaced by the tuple of its values plus the params its chosen value takes."""
+    table = dict(_PARAMS[task])
+    for key, choices in _PARAMS[task].items():
+        if type(choices) is dict:
+            value = params.get(key, next(iter(choices)))
+            if type(value) is not str or value not in choices:
+                raise ConfigError(f"param {key} must be one of {tuple(choices)}, got {value!r}")
+            table[key] = tuple(choices)
+            table.update(choices[value])
+    return table
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -111,7 +127,7 @@ def _load_config(path: str) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    table = _PARAMS[task]
+    table = _table(task, params)
     bad = set(params) - set(table)
     if bad:
         raise ConfigError(f"unknown params for task {task}: {sorted(bad)}")
@@ -158,8 +174,9 @@ def _irrational_from_cfg(spec) -> IrrationalSpec:
 
 def _run_task(cfg: dict, out_dir: str) -> int:
     task = cfg["task"]
-    params = {key: d[0] if type(d) is tuple else d for key, d in _PARAMS[task].items()}
-    params.update(cfg.get("params", {}))
+    given = cfg.get("params", {})
+    params = {key: d[0] if type(d) is tuple else d for key, d in _table(task, given).items()}
+    params.update(given)
     seed = cfg.get("seed", DEFAULT_SEED)
     stream = RngStream(seed)
     fourier = task == "sigma2" and params["method"] == "fourier_closed_form"
@@ -183,25 +200,23 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         return 0
 
     if task == "sigma2":
+        method = params["method"]
         if fourier:
-            if params["coeffs"] is None or params["a"] is None:
-                raise ConfigError("fourier_closed_form needs params coeffs and a")
             try:
                 coeffs = {int(k): complex(v) for k, v in params["coeffs"].items()}
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid Fourier coefficients: {exc}") from exc
             est = sigma2_circle_fourier(coeffs, float(params["a"]), params["k_support"])
+        elif method == "var_sn":
+            est = sigma2_var_sn({m: model.sample_batch(m, params["replicas"],
+                                                       stream.named(f"var_sn_{m}"))
+                                 for m in params["n_grid"]})
         else:
-            reps = params["replicas"]
-            paths = model.sample_batch(params["n"], reps, stream.named("sigma2"))
-            if params["method"] == "covariance_series":
+            paths = model.sample_batch(params["n"], params["replicas"], stream.named("sigma2"))
+            if method == "covariance_series":
                 est = sigma2_covariance_series(paths, params["k_max"])
-            elif params["method"] == "dyadic":
-                est = sigma2_dyadic(paths, params["j_max"])
             else:
-                sums = {m: model.sample_batch(m, reps, stream.named(f"var_sn_{m}"))
-                        for m in params["n_grid"]}
-                est = sigma2_var_sn(sums)
+                est = sigma2_dyadic(paths, params["j_max"])
         write_csv(os.path.join(out_dir, "sigma2.csv"),
                   ("method", "value", "se", "clamped"),
                   [(est.method, est.value, est.se, est.clamped)])
@@ -308,7 +323,10 @@ SCHEMA = {
     "seed": "nonnegative integer (optional)",
     "model": "model spec object with 'kind' in {iid, alternating, linear, "
              "iterated, expanding, circle, counterexample}",
-    "params": {t: sorted(ks) for t, ks in _PARAMS.items()},
+    # a task whose method picks its params lists them per method
+    "params": {t: {k: {v: sorted(p) for v, p in d.items()}
+                   for k, d in ks.items() if type(d) is dict} or sorted(ks)
+               for t, ks in _PARAMS.items()},
     "output_dir": "directory for CSV/JSON outputs (optional, default '.')",
 }
 

@@ -22,13 +22,18 @@ nodes j/n, where rotation averaging is exact to rounding on the observable,
 its powers and the products of band 2K that conditional second moments need.
 
 Every power K^k f goes through `orbit`, and every sup norm through
-`Kernel.sup`.
+`Kernel.sup`. An orbit steps v <- Kv - mu(Kv) from v = f - mu(f), so its
+rows decay geometrically instead of settling on a rounding offset along the
+constants, and it ends in exact zeros once a row's certified sup bound is
+below half an ulp of max|f|. A collocation kernel's `sup` runs its grid
+product once per distinct row, so a zero tail or a frozen cumulative sum
+costs one product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -127,9 +132,13 @@ class Kernel:
     def sup(self, values: np.ndarray):
         """Sup norm of the carried function; the node axis is the last axis.
 
-        Grid and finite-state kernels take the max over their nodes.
+        Grid and finite-state kernels take the max over their nodes;
+        collocation kernels also read the sup grid, once per distinct row.
         """
         return np.max(np.abs(values), axis=-1)
+
+    # sup norm <= lebesgue * max over the nodes; 1 where `sup` is that max
+    lebesgue: float = 1.0
 
     # additive independent observation noise (variance), used by the
     # alternating model where X = f(state) + iid noise
@@ -324,16 +333,29 @@ class _CollocationKernel(Kernel):
     def mu(self, values: np.ndarray) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
 
+    @cached_property
+    def lebesgue(self) -> float:
+        """Lebesgue constant of the nodes on the sup grid, max_y sum_j |grid[j, y]|."""
+        return float(np.abs(self.grid).sum(axis=0).max())
+
     def sup(self, values: np.ndarray):
+        """Max on the nodes and on the sup grid. Only a row that differs from
+        the row before it goes through the grid product; a repeated row, such
+        as the zero tail of an `orbit` or its frozen cumulative sum, takes
+        the value of the row before it."""
         v = np.asarray(values, dtype=float)
         rows = np.atleast_2d(v)
-        out = np.abs(rows).max(axis=-1)
+        fresh = np.ones(rows.shape[0], dtype=bool)
+        np.any(rows[1:] != rows[:-1], axis=-1, out=fresh[1:])
+        new = np.flatnonzero(fresh)
+        out = np.abs(rows).max(axis=-1)[new]
         # 64 rows at a time: the grid values of a whole orbit would take
         # rows x 4097 floats (134 MB for a 4096-step orbit)
-        for s in range(0, rows.shape[0], 64):
-            on_grid = rows[s:s + 64] @ self.grid
+        for s in range(0, new.size, 64):
+            on_grid = rows[new[s:s + 64]] @ self.grid
             top = np.abs(on_grid, out=on_grid).max(axis=-1)
             np.maximum(out[s:s + 64], top, out=out[s:s + 64])
+        out = out[np.cumsum(fresh) - 1]
         return out[0] if v.ndim == 1 else out
 
 
@@ -526,22 +548,41 @@ def orbit(kernel: Kernel, f: np.ndarray, n_max: int) -> np.ndarray:
     """Rows K^1 f - mu(f), ..., K^{n_max} f - mu(f) as one (n_max, len(f)) array.
 
     Every power K^k f of a kernel is taken here; callers reduce the rows
-    with `Kernel.sup`, a cumulative sum or a sum. mu(f) is subtracted in
-    place. The array holds n_max * len(f) floats: 134 MB for n_max = 4096
-    on a 4097-node grid kernel.
+    with `Kernel.sup`, a cumulative sum or a sum. The orbit starts from
+    v = f - mu(f) and steps v <- Kv - mu(Kv): in exact arithmetic these are
+    the same rows, but in floats the rounding along the constants is
+    removed at every step instead of settling into an offset of ~1e-16
+    max|f|, so the rows keep decaying geometrically.
+
+    Once per 64 rows the orbit is cut at the first row whose certified sup
+    bound `kernel.lebesgue` * max|v| is at most half an ulp of max|f|: that
+    row and every later one are exact zeros, since a Markov operator never
+    increases a sup norm. The array holds n_max * len(f) floats (134 MB for
+    n_max = 4096 on a 4097-node grid kernel); rows past the cut are never
+    written.
     """
     v = np.asarray(f, dtype=float)
-    out = np.empty((n_max,) + v.shape)
-    for k in range(n_max):
-        v = kernel.apply(v)
-        out[k] = v
-    out -= kernel.mu(f)
+    out = np.zeros((n_max,) + v.shape)
+    cut = 0.5 * np.spacing(float(np.max(np.abs(v))))
+    v = v - kernel.mu(v)
+    for s in range(0, n_max, 64):
+        block = out[s:s + 64]
+        for row in block:
+            v = kernel.apply(v)
+            np.subtract(v, kernel.mu(v), out=row)
+            v = row
+        small = np.flatnonzero(kernel.lebesgue * np.abs(block).max(axis=-1) <= cut)
+        if small.size:
+            block[small[0]:] = 0.0
+            break
     return out
 
 
 def dust_floor(f_values: np.ndarray) -> float:
     """Rounding-dust level of kernel arithmetic on f: norms of K^k f at or
-    below 1e-13 max|f| carry no signal."""
+    below 1e-13 max|f| carry no signal, and fits and series verdicts ignore
+    them. `orbit` rows decay through it with no rounding plateau and end in
+    exact zeros."""
     return 1e-13 * float(np.max(np.abs(f_values)))
 
 
@@ -563,8 +604,10 @@ def _geometric_fit(u: np.ndarray, floor: float):
 def sup_norm_decay(kernel: Kernel, f_values: np.ndarray, n_max: int) -> DecayReport:
     """u_k = ||K^k f - mu(f)||_inf (`Kernel.sup`) for k <= n_max, with a geometric fit.
 
-    Refuses the fit if u_k increases for 5 consecutive k beyond k = 3. The
-    fit ignores u_k at or below 1e-13 max|f|, where only rounding dust is left.
+    The u_k come from `orbit`, so they decay with no rounding plateau and
+    end in exact zeros once the orbit is cut. Refuses the fit if u_k
+    increases for 5 consecutive k beyond k = 3. The fit ignores u_k at or
+    below `dust_floor`, 1e-13 max|f|, and so every zero.
     """
     mu_f = kernel.mu(f_values)
     # invariance sanity: one kernel step must preserve the integral

@@ -123,6 +123,46 @@ def test_sigma2_lags_past_the_row_end_are_refused(tmp_path, capsys):
     assert not (tmp_path / "out" / "sigma2.csv").exists()
 
 
+@pytest.mark.parametrize("params,unread", [
+    ({"method": "covariance_series", "a": 0.5, "n_grid": [64], "k_support": 3},
+     ["a", "k_support", "n_grid"]),
+    ({"method": "dyadic", "k_max": 5}, ["k_max"]),
+    ({"method": "var_sn", "n": 256, "j_max": 4}, ["j_max", "n"]),
+    ({"method": "fourier_closed_form", "coeffs": {"1": 0.5, "-1": 0.5}, "a": 0.6,
+      "replicas": 10}, ["replicas"]),
+])
+def test_sigma2_refuses_params_its_method_never_reads(tmp_path, capsys, params, unread):
+    cfg = write_cfg(tmp_path, "unread.json", {
+        "task": "sigma2", "model": {"kind": "iid", "law": "rademacher"},
+        "params": params, "output_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 2
+    assert f"unknown params for task sigma2: {unread}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sigma2.csv").exists()
+
+
+def test_sigma2_method_params_and_defaults(tmp_path, capsys):
+    # var_sn draws only its n_grid sums; the Fourier closed form needs its
+    # coefficients and rotation
+    cfg = write_cfg(tmp_path, "var.json", {
+        "task": "sigma2", "seed": 5, "model": {"kind": "iid", "law": "rademacher"},
+        "params": {"method": "var_sn", "n_grid": [64, 128], "replicas": 400},
+        "output_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 0
+    body = (tmp_path / "out" / "sigma2.csv").read_text().splitlines()
+    assert len(body) == 2 and body[1].startswith("var_sn")
+    cfg = write_cfg(tmp_path, "fourier.json", {
+        "task": "sigma2", "params": {"method": "fourier_closed_form", "a": 0.6},
+        "output_dir": str(tmp_path / "out2")})
+    assert main(["run", cfg]) == 2
+    assert "missing params for task sigma2: ['coeffs']" in capsys.readouterr().err
+    assert main(["print-schema"]) == 0
+    methods = json.loads(capsys.readouterr().out)["params"]["sigma2"]["method"]
+    assert methods == {"covariance_series": ["k_max", "n", "replicas"],
+                       "dyadic": ["j_max", "n", "replicas"],
+                       "var_sn": ["n_grid", "replicas"],
+                       "fourier_closed_form": ["a", "coeffs", "k_support"]}
+
+
 def test_conditions_task_verdict(tmp_path):
     cfg = write_cfg(tmp_path, "cond.json", {
         "task": "conditions",
@@ -282,6 +322,18 @@ def test_transfer_decay_refuses_the_circle(tmp_path, capsys):
     assert main(["run", cfg]) == 3
     assert "not a function on the circle" in capsys.readouterr().err
     assert not (tmp_path / "out" / "decay.csv").exists()
+
+
+@pytest.mark.parametrize("map_name,rate,tol", [("doubling", 0.5, 1e-12),
+                                               ("gauss", 0.30366300289873265, 1e-10)])
+def test_transfer_decay_fits_the_exact_rate_and_ends_in_zeros(tmp_path, map_name, rate, tol):
+    cfg = write_cfg(tmp_path, "decay.json", {
+        "task": "transfer-decay", "model": {"kind": "expanding", "map": map_name},
+        "output_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 0
+    fit = json.loads((tmp_path / "out" / "decay_fit.json").read_text())
+    assert abs(fit["rho"] / rate - 1.0) <= tol
+    assert (tmp_path / "out" / "decay.csv").read_text().splitlines()[-1] == "64,0.0"
 
 
 def test_transfer_decay_refuses_an_observable_param(tmp_path, capsys):

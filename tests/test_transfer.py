@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
+from mdplab.conditions import check_bis, check_mw
+from mdplab.processes import IIDSpec, make_alternating_plus_iid
 from mdplab.transfer import (
     ChebyshevKernel,
     CircleFourierKernel,
@@ -14,6 +16,7 @@ from mdplab.transfer import (
     apply_pf_integer_beta,
     conditional_square_norm,
     conditional_sum_norm_profile,
+    dust_floor,
     orbit,
     pf_duality_gap,
     stationary_distribution,
@@ -364,12 +367,129 @@ def test_spectral_decay_fit_recovers_the_rate(name, scale):
 
 @pytest.mark.parametrize("beta", [2, 3])
 def test_decay_fit_ignores_rounding_dust(beta):
-    # u_n = beta^-n / 2 ends on a ~1e-15 rounding plateau; fitted through,
-    # the plateau pulls the rate towards 1
+    # u_n = beta^-n / 2 decays with no rounding plateau into exact zeros,
+    # so even a fit with no floor recovers the rate
     k = ChebyshevKernel.integer_beta(beta)
     rep = sup_norm_decay(k, k.nodes - k.mu(k.nodes), 64)
     assert abs(rep.rho * beta - 1.0) <= 1e-3
-    assert _geometric_fit(rep.u, 0.0)[1] * beta > 1.1
+    assert rep.u[-1] == 0.0
+    assert abs(_geometric_fit(rep.u, 0.0)[1] * beta - 1.0) <= 1e-12
+
+
+def _plain_orbit(kernel, f, n_max):
+    # K^k f - mu(f) by repeated application, with no re-centring and no cut
+    rows, v = [], np.asarray(f, dtype=float)
+    for _ in range(n_max):
+        v = kernel.apply(v)
+        rows.append(v - kernel.mu(f))
+    return np.array(rows).reshape((n_max,) + v.shape)
+
+
+def _recentred_orbit(kernel, f, n_max):
+    # v <- Kv - mu(Kv) from v = f - mu(f), with no cut
+    rows, v = [], np.asarray(f, dtype=float) - kernel.mu(f)
+    for _ in range(n_max):
+        v = kernel.apply(v)
+        v = v - kernel.mu(v)
+        rows.append(v)
+    return np.array(rows).reshape((n_max,) + v.shape)
+
+
+ORBIT_KERNELS = {
+    **{name: build for name, (build, _) in SPECTRAL.items()},
+    "circle": lambda: CircleFourierKernel(GOLDEN, MULTI_MODE),
+    "mixing_chain": lambda: FiniteStateKernel(np.array([[0.7, 0.3], [0.2, 0.8]]),
+                                              states=np.array([0.0, 1.0])),
+}
+
+
+def _orbit_start(kernel):
+    if isinstance(kernel, CircleFourierKernel):
+        return CircleFourierKernel.eval_coeffs(kernel.coeffs, kernel.nodes)
+    return 3.0 * np.exp(kernel.nodes) + 0.25  # not centred
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_KERNELS))
+def test_recentred_orbit_agrees_with_plain_powers_above_the_dust(name):
+    k = ORBIT_KERNELS[name]()
+    f = _orbit_start(k)
+    rows, plain = orbit(k, f, 256), _plain_orbit(k, f, 256)
+    above = np.max(np.abs(plain), axis=1) > dust_floor(f)
+    assert above[:8].all()
+    assert np.max(np.abs(rows - plain)[above]) <= 1e-13 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_KERNELS))
+def test_orbit_is_cut_into_exact_zeros_at_its_first_certified_dust_row(name):
+    k = ORBIT_KERNELS[name]()
+    f = _orbit_start(k)
+    rows, full = orbit(k, f, 256), _recentred_orbit(k, f, 256)
+    bound = k.lebesgue * np.max(np.abs(full), axis=1)
+    cut = int(np.argmax(bound <= 0.5 * np.spacing(np.max(np.abs(f)))))
+    assert 0 < cut < 256
+    assert np.array_equal(rows[:cut], full[:cut])
+    assert not np.any(rows[cut:])
+    # the certified bound holds where the rows were cut
+    assert np.all(k.sup(full[cut:]) <= bound[cut:] * (1.0 + 1e-12))
+
+
+def test_lebesgue_constants():
+    assert FiniteStateKernel(np.eye(2), states=np.array([0.0, 1.0])).lebesgue == 1.0
+    assert IntegerBetaPFKernel(2, n_points=64).lebesgue == 1.0
+    for name in SPECTRAL:
+        k = SPECTRAL[name][0]()
+        assert k.lebesgue == np.max(np.sum(np.abs(k.grid), axis=0))
+        assert 1.0 <= k.lebesgue < 4.0
+    # between its five nodes the trigonometric interpolant can exceed them
+    assert 1.0 < CircleFourierKernel(GOLDEN, {1: 0.5, -1: 0.5}).lebesgue < 2.0
+
+
+@pytest.mark.parametrize("check", ["bis", "mw"])
+def test_alternating_chain_is_never_cut_and_keeps_its_terms(check):
+    model = make_alternating_plus_iid(IIDSpec(law="uniform"))
+    k, f, n_max = model.kernel, model.centered_observable(), 512
+    rows = orbit(k, f, n_max)
+    assert np.all(np.max(np.abs(rows), axis=1) > 0.0)
+    plain = _plain_orbit(k, f, n_max)
+    n = np.arange(1, n_max + 1, dtype=float)
+    if check == "bis":
+        diag = check_bis(model, n_max=n_max)
+        want = n ** -0.5 * np.max(np.abs(plain), axis=1)
+    else:
+        diag = check_mw(model, n_max=n_max)
+        want = n ** -1.5 * np.max(np.abs(np.cumsum(plain, axis=0)), axis=1)
+    assert np.array_equal(diag.terms, want)
+
+
+@pytest.mark.parametrize("name", ["circle", "beta3", "gauss"])
+def test_deduplicated_sup_equals_the_per_row_sup(name):
+    k = ORBIT_KERNELS[name]()
+    rows = orbit(k, _orbit_start(k), 300)
+    for block in (rows, np.cumsum(rows, axis=0)):
+        # every row through the grid product, 64 rows a product; one row
+        # alone would go through another BLAS kernel, a few ulp off
+        want = np.max(np.abs(block), axis=1)
+        for s in range(0, block.shape[0], 64):
+            on_grid = np.max(np.abs(block[s:s + 64] @ k.grid), axis=1)
+            want[s:s + 64] = np.maximum(want[s:s + 64], on_grid)
+        got = k.sup(block)
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+        assert np.array_equal(block[-1], block[-2])
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL))
+def test_decay_fit_is_exact_at_the_benchmark_scales(name):
+    # the 40 observable scales c = 2^U(-1, 1) of seeds 1..40: the fitted rate
+    # is the kernel's second eigenvalue to 1e-10 at every one
+    build, rate = SPECTRAL[name]
+    k = build()
+    centred = k.nodes - k.mu(k.nodes)
+    worst = 0.0
+    for seed in range(1, 41):
+        c = float(2.0 ** np.random.default_rng(seed).uniform(-1.0, 1.0))
+        rep = sup_norm_decay(k, c * centred, 64)
+        worst = max(worst, abs(rep.rho / rate - 1.0))
+    assert worst <= 1e-10
 
 
 def test_orbit_rows_are_kernel_powers():
