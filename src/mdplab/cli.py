@@ -30,7 +30,7 @@ from .variance import (
     sigma2_var_sn,
 )
 from .inequalities import BOUND_KINDS, verify_domination
-from .mdp import block_martingale_decompose, mdp_scan
+from .mdp import block_martingale_decompose, mdp_scan, method_refusal
 from .diophantine import (
     IrrationalSpec,
     PrecisionError,
@@ -247,6 +247,9 @@ def _run_task(cfg: dict, out_dir: str) -> int:
         method = params["method"]
         if method != "exact_binomial" and not params["replicas"]:
             raise ConfigError(f"method {method} needs param replicas")
+        refusal = method_refusal(method, model)
+        if refusal is not None:
+            raise ConfigError(refusal)
         report = mdp_scan(model, SpeedSequence(gamma=params["gamma"]), params["n_grid"],
                           params["x_grid"], params["sigma2"], method,
                           replicas=params["replicas"], stream=stream.named("mdp-scan"))

@@ -219,11 +219,12 @@ def check_class_L(c: Callable[[float], float]):
     Only the integral near 0 is probed; concavity is not checked, so moduli
     concave only near 0, e.g. |log t|^(-gamma), are admitted.
     """
-    blocks = np.empty(CLASS_L_BLOCKS)
-    for j in range(1, CLASS_L_BLOCKS + 1):
-        t = np.linspace(2.0 ** (-j - 1), 2.0 ** (-j), CLASS_L_POINTS)
-        g = np.array([c(ti) / (ti * np.sqrt(abs(np.log(ti)))) for ti in t])
-        blocks[j - 1] = np.trapezoid(g, t)
+    j = np.arange(1, CLASS_L_BLOCKS + 1)
+    t = np.linspace(2.0 ** (-j - 1), 2.0 ** (-j), CLASS_L_POINTS, axis=1)
+    # c takes one scalar at a time
+    g = np.array([c(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
+    g /= t * np.sqrt(np.abs(np.log(t)))
+    blocks = np.trapezoid(g, t, axis=1)
     return diagnose_series(blocks).verdict, float(np.sum(blocks)), blocks
 
 

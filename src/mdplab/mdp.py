@@ -32,6 +32,7 @@ __all__ = [
     "block_martingale_decompose",
     "exact_binomial_tail_log",
     "tilted_is_estimator",
+    "method_refusal",
     "empirical_mdp_point",
     "mdp_scan",
 ]
@@ -385,6 +386,18 @@ class MdpPointEstimate:
         return self.estimate - (-(self.x**2) / (2.0 * sigma2))
 
 
+def method_refusal(method: str, model: ProcessModel) -> Optional[str]:
+    """Why `method` cannot serve `model`, or None when it can: the exact
+    binomial oracle serves iid fair signs only, tilted sampling iid models."""
+    spec = model.meta.get("spec")
+    if method == "exact_binomial" and not (isinstance(spec, IIDSpec)
+                                           and spec.law == "rademacher"):
+        return "exact binomial oracle applies to the fair-sign model only"
+    if method == "tilted" and not isinstance(spec, IIDSpec):
+        return "tilted importance sampling applies to iid models only"
+    return None
+
+
 def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
                         method: str, replicas: int = 0,
                         stream: Optional[RngStream] = None,
@@ -393,16 +406,15 @@ def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
     if not 0.0 < a_n <= 1.0:
         raise ValueError("speed a_n must lie in (0, 1]")
     t = x * math.sqrt(n / a_n)
+    refusal = method_refusal(method, model)
+    if refusal is not None:
+        raise ValueError(refusal)
     spec = model.meta.get("spec")
     if method == "exact_binomial":
-        if not (isinstance(spec, IIDSpec) and spec.law == "rademacher"):
-            raise ValueError("exact binomial oracle applies to the fair-sign model only")
         lp = exact_binomial_tail_log(n, t)
         return MdpPointEstimate(n=n, a_n=a_n, x=x, method=method, threshold=t,
                                 estimate=a_n * lp)
     if method == "tilted":
-        if not isinstance(spec, IIDSpec):
-            raise ValueError("tilted importance sampling applies to iid models only")
         if stream is None or replicas < 1:
             raise ValueError("tilted method needs replicas and a stream")
         lp, se = tilted_is_estimator(spec, n, t, replicas, stream.named("tilted", n))

@@ -212,22 +212,28 @@ def _shape(reps: Optional[int], length: int) -> tuple:
 _RAW64 = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
-def _fair_bits(rng: np.random.Generator, shape) -> np.ndarray:
-    """uint8 array of iid fair 0/1 bits, 64 per generator word.
+def _fair_bytes(rng: np.random.Generator, shape) -> np.ndarray:
+    """iid fair bits for `shape`, packed: ceil(n / 64) generator words per row
+    of the last axis (length n), as uint8 little-endian bytes.
 
-    Each row (the last axis, length n) unpacks its own ceil(n / 64) words,
-    bit j of word w being entry 64 w + j, so the rows of a block equal
-    sequential one-row draws. Words are read as little-endian bytes, so the
-    bits do not depend on the host's byte order.
+    Bit j of a row is bit j % 8 of its byte j // 8, that is bit j of word
+    j // 64 whatever the host's byte order. Each row reads its own words, so
+    the rows of a block equal sequential one-row draws.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-    n = int(shape[-1])
-    size = shape[:-1] + (-(-n // 64),)
+    size = shape[:-1] + (-(-int(shape[-1]) // 64),)
     bitgen = rng.bit_generator
     words = bitgen.random_raw(size) if isinstance(bitgen, _RAW64) \
         else rng.integers(0, 2**64, size, dtype=np.uint64)
-    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
-                         count=n, bitorder="little")
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def _fair_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """uint8 array of iid fair 0/1 bits: `_fair_bytes` unpacked, bit j of a
+    row being entry j."""
+    n = shape if isinstance(shape, (int, np.integer)) else shape[-1]
+    return np.unpackbits(_fair_bytes(rng, shape), axis=-1, count=int(n),
+                         bitorder="little")
 
 
 def make_iid(spec: IIDSpec) -> ProcessModel:
@@ -267,12 +273,105 @@ def make_alternating_plus_iid(iid: IIDSpec) -> ProcessModel:
                         meta={"sigma2": iid.variance, "noise_spec": iid})
 
 
+LINEAR_GROUP = 8  # innovations per sign window, one 2^8-entry table each; a
+# window is read from two bytes, so it has at most 9 bits
+LINEAR_SLAB = 1 << 15  # window positions per table pass (115 rows of 256 + 27),
+# so that the int arrays of a pass stay in L2
+
+
+def _sign_window_tables(coeffs: np.ndarray, values) -> list:
+    """(offset, table) for each group of LINEAR_GROUP coefficients.
+
+    Output k reads group c_s .. c_(s+7) as the 8-bit window of its row's
+    bits at k + offset (a row's bit M + k is eps_k, with M = len(coeffs) - 1),
+    whose bit t is eps_(k - (s + 7 - t)): the newest innovation highest.
+    Entry w of the table is sum_i c_i values[bit of eps_(k-i) in w], added in
+    ascending i. A last group of h < 8 coefficients keeps its window in the
+    row: it starts at offset 0, and the 8 - h bits it shares with the group
+    before weigh 0 (0.0 plus a signed zero is 0.0, so the entries are the
+    h-term sums).
+    """
+    M = len(coeffs) - 1
+    groups = []
+    for s in range(0, M + 1, LINEAR_GROUP):
+        group = coeffs[s:s + LINEAR_GROUP]
+        table = np.zeros(1)
+        for c in np.concatenate([np.zeros(LINEAR_GROUP - len(group)), group]):
+            # the coefficient added last takes the lowest bit
+            table = np.add.outer(table, c * values).ravel()
+        groups.append((max(M - s - (LINEAR_GROUP - 1), 0), table))
+    return groups
+
+
+def _table_sums(packed: np.ndarray, n: int, groups: list) -> np.ndarray:
+    """Y for every row of packed innovation bits (little-endian, n + M per
+    row): each output is its groups' table entries summed in group order."""
+    rows = packed.shape[0]
+    # a pass reads bits up to w past its last output, and for each window
+    # the byte after its first: one zero byte pads the row end
+    w = groups[0][0] + LINEAR_GROUP - 1
+    packed = np.concatenate([packed, np.zeros((rows, 1), np.uint8)], axis=1)
+    mask = (1 << LINEAR_GROUP) - 1
+    out = np.empty((rows, n))
+    width = min(n, LINEAR_SLAB)  # a multiple of 8 when a row is cut
+    height = max(1, LINEAR_SLAB // (width + w))
+    shifts = np.tile(np.arange(8), -(-(width + w) // 8))
+    for r in range(0, rows, height):
+        for s in range(0, n, width):
+            e = min(s + width, n)
+            b = packed[r:r + height, s // 8:(e + w) // 8 + 1]
+            # the window at bit p of the pass: the 16 bits from byte p // 8
+            # on, shifted right by p % 8, low 8 bits
+            u = b[:, :-1].astype(np.intp)
+            u |= b[:, 1:].astype(np.intp) << 8
+            v = np.repeat(u, 8, axis=1)
+            v >>= shifts[:v.shape[1]]
+            v &= mask
+            o = out[r:r + height, s:e]
+            part = np.empty(o.shape)
+            for g, (offset, table) in enumerate(groups):
+                table.take(v[:, offset:offset + e - s], out=o if g == 0 else part,
+                           mode="clip")
+                if g:
+                    o += part
+    return out
+
+
 def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
+    """Y_k = sum_(i <= M) c_i eps_(k-i), with M the truncation radius.
+
+    Two-valued innovations (rademacher, two_point) are drawn as bits, from
+    the draws `IIDSpec.draw` makes, and Y is summed from `_sign_window_tables`: one table entry per group of
+    LINEAR_GROUP coefficients (the group's sum, in ascending i), then the
+    groups in order. The order is fixed by this code, so every value is a
+    function of its own row's bits alone; where all partial sums are exact
+    (dyadic coefficients over few bits) Y equals the exact sum. A continuous
+    law has no finite table, so uniform innovations keep `np.convolve`.
+    """
     M = spec.truncation_radius()
     coeffs = np.array([spec.coefficient(i) for i in range(M + 1)])
     inn = spec.innovation
     width = inn.b - inn.a if inn.law == "two_point" else 2 * inn.bound
     y_bound = float(np.sum(np.abs(coeffs)) + spec.tail_abs_sum(M + 1)) * inn.bound
+    if inn.law == "uniform":
+        def linear_values(n, rng, reps):
+            eps = inn.draw(_shape(reps, n + M), rng)
+            # one convolution over the rows laid end to end; each row's n
+            # outputs are the windows inside it, the M straddling ones dropped
+            y = np.convolve(eps.ravel(), coeffs, mode="valid")
+            return np.concatenate([y, np.empty(M)]).reshape(eps.shape)[..., :n]
+    else:
+        # bit 1 is a sign +1 (rademacher) or the draw u < p, value a (two_point)
+        values = np.array([-1.0, 1.0] if inn.law == "rademacher" else [inn.b, inn.a])
+        groups = _sign_window_tables(coeffs, values)
+
+        def linear_values(n, rng, reps):
+            shape = (1 if reps is None else reps, n + M)
+            packed = _fair_bytes(rng, shape) if inn.law == "rademacher" else \
+                np.packbits(rng.random(shape) < inn.p, axis=-1, bitorder="little")
+            y = _table_sums(packed, n, groups)
+            return y[0] if reps is None else y
+
     f = spec.f if spec.f is not None else (lambda y: y)
     if spec.f is None:
         bound = y_bound
@@ -282,17 +381,11 @@ def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
             raise ValueError("a custom observable must declare f_bound")
         # center empirically once, with a pinned internal stream
         rng = np.random.default_rng(np.random.SeedSequence(0xC0FFEE))
-        eps = inn.draw(1 << 20, rng)
-        y = np.convolve(eps, coeffs, mode="valid")
-        center = float(np.mean(f(y)))
+        center = float(np.mean(f(linear_values((1 << 20) - M, rng, None))))
         bound = 2 * spec.f_bound
 
     def sampler(n, rng, reps=None):
-        eps = inn.draw(_shape(reps, n + M), rng)
-        # one convolution over the rows laid end to end; each row's n outputs
-        # are the windows inside it, the M straddling ones are dropped
-        y = np.convolve(eps.ravel(), coeffs, mode="valid")
-        y = np.concatenate([y, np.empty(M)]).reshape(eps.shape)[..., :n]
+        y = linear_values(n, rng, reps)
         return f(y) - center if spec.f is not None else y
 
     # C(A) increment bound Delta_i <= w(width * |c_i|)-style metadata

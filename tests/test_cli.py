@@ -302,6 +302,10 @@ SCAN = {"n_grid": [64], "x_grid": [1.0], "sigma2": 1.0}
     ("mdp-scan", {"kind": "iid"}, {**SCAN, "gamma": 1.5}),
     ("mdp-scan", {"kind": "iid"}, {**SCAN, "method": "tilted"}),  # no replicas
     ("mdp-scan", {"kind": "iid"}, {**SCAN, "method": "naive"}),  # no replicas
+    # a method that cannot serve the model
+    ("mdp-scan", {"kind": "circle"}, SCAN),  # exact_binomial, the default
+    ("mdp-scan", {"kind": "iid", "law": "uniform"}, {**SCAN, "method": "exact_binomial"}),
+    ("mdp-scan", {"kind": "linear"}, {**SCAN, "method": "tilted", "replicas": 100}),
 ])
 def test_malformed_param_types_are_config_errors(tmp_path, capsys, task, model, params):
     cfg = {"task": task, "params": params, "output_dir": str(tmp_path / "out")}

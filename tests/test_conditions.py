@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mdplab.conditions import (
+    CLASS_L_BLOCKS,
+    CLASS_L_POINTS,
     _spearman_rho,
     check_bis,
     check_class_L,
@@ -203,6 +207,23 @@ def test_class_L_power_modulus_converges():
     from scipy.integrate import quad
     ref, _ = quad(lambda t: np.sqrt(t) / (t * np.sqrt(abs(np.log(t)))), 0, 0.5)
     assert estimate == pytest.approx(ref, rel=0.02)
+
+
+def _class_L_blocks_per_block(c):
+    # the per-block loop check_class_L replaced, kept as its reference
+    blocks = np.empty(CLASS_L_BLOCKS)
+    for j in range(1, CLASS_L_BLOCKS + 1):
+        t = np.linspace(2.0 ** (-j - 1), 2.0 ** (-j), CLASS_L_POINTS)
+        g = np.array([c(ti) / (ti * np.sqrt(abs(np.log(ti)))) for ti in t])
+        blocks[j - 1] = np.trapezoid(g, t)
+    return blocks
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.6, 0.75, 1.0, None])
+def test_class_L_blocks_equal_the_per_block_loop(gamma):
+    # criterion 6's five moduli |log t|^(-gamma), and sqrt(t)
+    c = np.sqrt if gamma is None else (lambda t: abs(math.log(t)) ** (-gamma))
+    assert np.array_equal(check_class_L(c)[2], _class_L_blocks_per_block(c))
 
 
 def test_kac_criterion_reports_integral():

@@ -45,6 +45,9 @@ BUILDS = {
         coeff_kind="geometric", C=0.25, rho=0.5)),
     "linear_f": lambda: make_linear_process(LinearProcessSpec(
         coeff_kind="power", power=3.0, f=np.sin, f_bound=1.0, truncation_tol=1e-4)),
+    "linear_two_point": lambda: make_linear_process(LinearProcessSpec(
+        coeff_kind="power", innovation=IIDSpec(law="two_point", p=0.8, a=-0.25, b=1.0),
+        truncation_tol=1e-4)),
     "iterated": lambda: make_iterated_function(IteratedFunctionSpec(rho=0.5)),
     "doubling": lambda: make_expanding_map(ExpandingMapSpec(map="doubling", mean=0.0)),
     "beta3": lambda: make_expanding_map(ExpandingMapSpec(map="beta", beta=3, mean=0.0)),
@@ -97,6 +100,51 @@ def test_linear_process_matches_direct_convolution():
                      for t in range(n)]
             assert [Fraction(v) for v in row] == exact
         assert np.max(np.abs(values)) <= model.bound + 1e-12
+
+
+def test_linear_block_equals_the_convolution():
+    # the acceptance model: c_i = 2^-(i+2) for i <= 27 and signs, so every
+    # partial sum is exact in any order and the table sums equal np.convolve
+    spec = LinearProcessSpec(coeff_kind="geometric", C=0.25, rho=0.5)
+    model = make_linear_process(spec)
+    M = model.meta["truncation_radius"]
+    coeffs = np.array([spec.coefficient(i) for i in range(M + 1)])
+    block = model.sample_block(256, 1024, STREAM.named("lin-conv").generator())
+    eps = spec.innovation.draw((1024, 256 + M), STREAM.named("lin-conv").generator())
+    assert np.array_equal(block, [np.convolve(row, coeffs, mode="valid") for row in eps])
+
+
+def test_two_point_power_outputs_follow_the_table_order():
+    # power coefficients: the partial sums round, so the values are those of
+    # the documented order (ascending i within each group of 8, then the
+    # groups in order) and lie within the rounding bound of the exact sum
+    spec = LinearProcessSpec(coeff_kind="power",
+                             innovation=IIDSpec(law="two_point", p=0.8, a=-0.25, b=1.0),
+                             truncation_tol=1e-4)
+    model = make_linear_process(spec)
+    n, reps, M = 48, 3, model.meta["truncation_radius"]
+    coeffs = [spec.coefficient(i) for i in range(M + 1)]
+    values = model.sampler(n, STREAM.named("lin-2pt").generator(), reps)
+    eps = spec.innovation.draw((reps, n + M), STREAM.named("lin-2pt").generator())
+    # M + 1 rounded products, each added once: the error is at most
+    # gamma_(M+1) sum_i |c_i eps_(k-i)| <= (M + 2) 2^-53 sum_i |c_i| max|eps|
+    tol = (M + 2) * 2.0**-53 * sum(abs(c) for c in coeffs) * spec.innovation.bound
+    for row, e in zip(values, eps.tolist()):
+        for t, v in enumerate(row.tolist()):
+            window = [e[t + M - i] for i in range(M + 1)]
+            total = 0.0
+            for s in range(0, M + 1, 8):
+                part = 0.0
+                for i in range(s, min(s + 8, M + 1)):
+                    part += coeffs[i] * window[i]
+                total = part if s == 0 else total + part
+            assert v == total
+            exact = sum(Fraction(c) * Fraction(x) for c, x in zip(coeffs, window))
+            assert abs(Fraction(v) - exact) <= tol
+    # the rounding is real: some outputs are not the exact sum
+    assert any(Fraction(v) != sum(Fraction(c) * Fraction(e[t + M - i])
+                                  for i, c in enumerate(coeffs))
+               for row, e in zip(values, eps.tolist()) for t, v in enumerate(row.tolist()))
 
 
 def test_doubling_orbit_matches_float_iteration_initially():
@@ -251,7 +299,8 @@ def test_block_rows_are_bounded_paths(key):
 
 
 @pytest.mark.parametrize("key", ["iid", "iid_uniform", "iid_two_point", "linear",
-                                 "linear_f", "doubling", "beta3", "gauss"])
+                                 "linear_f", "linear_two_point", "doubling", "beta3",
+                                 "gauss"])
 def test_block_equals_sequential_draws(key):
     # models without a per-path scalar draw give the stacked sequential paths
     model = BUILDS[key]()
