@@ -24,6 +24,7 @@ from .processes import model_from_config
 from .transfer import CircleFourierKernel, sup_norm_decay
 from .conditions import check_bis, check_mw
 from .variance import (
+    VAR_SN_MIN_REPLICAS,
     sigma2_circle_fourier,
     sigma2_covariance_series,
     sigma2_dyadic,
@@ -56,7 +57,7 @@ _PARAMS = {
     "sigma2": {"method": {
         "covariance_series": {"n": 10_000, "replicas": 100, "k_max": 50},
         "dyadic": {"n": 10_000, "replicas": 100, "j_max": 8},
-        "var_sn": {"replicas": 100, "n_grid": [256, 512, 1024, 2048]},
+        "var_sn": {"replicas": VAR_SN_MIN_REPLICAS, "n_grid": [256, 512, 1024, 2048]},
         "fourier_closed_form": {"coeffs": REQUIRED, "a": REQUIRED, "k_support": None}}},
     "conditions": {"check": ("bis", "mw"), "n_max": 256, "floor": 0.0},
     "inequality": {"bound": REQUIRED, "thresholds": REQUIRED, "replicas": 10_000, "n": 256},
@@ -208,6 +209,9 @@ def _run_task(cfg: dict, out_dir: str) -> int:
                 raise ConfigError(f"invalid Fourier coefficients: {exc}") from exc
             est = sigma2_circle_fourier(coeffs, float(params["a"]), params["k_support"])
         elif method == "var_sn":
+            if params["replicas"] < VAR_SN_MIN_REPLICAS:
+                raise ConfigError(f"var_sn needs replicas >= {VAR_SN_MIN_REPLICAS}, "
+                                  f"got {params['replicas']}")
             est = sigma2_var_sn({m: model.sample_batch(m, params["replicas"],
                                                        stream.named(f"var_sn_{m}"))
                                  for m in params["n_grid"]})

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .core import REPLICA_CHUNK, ProcessModel, RngStream, map_replicas
 
@@ -94,12 +93,14 @@ def blocking_bound_first_term(n: int, B: float, c: int, delta: float) -> float:
 def clopper_pearson_upper(k: int, n: int) -> float:
     """Exact 95% binomial upper confidence limit for k successes in n trials:
     the 0.95 quantile of Beta(k + 1, n - k), read off the inverse
-    regularized incomplete beta function. It equals `scipy.stats.beta.ppf`,
-    whose import the CLI does not pay for."""
+    regularized incomplete beta function. It equals `scipy.stats.beta.ppf`.
+    scipy.special is imported here, at the first call, so that a process
+    that never asks for this limit never loads it."""
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n, n >= 1")
     if k == n:
         return 1.0
+    from scipy.special import betaincinv
     return float(betaincinv(k + 1, n - k, 0.95))
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, gammaln, logsumexp, ndtr
 
 from .core import REPLICA_CHUNK, ProcessModel, RngStream, SpeedSequence, map_replicas, write_csv
 from .processes import IIDSpec
@@ -222,8 +221,10 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
 def exact_binomial_tail_log(n: int, t: float) -> float:
     """log P(S_n >= t) for S_n a sum of n independent fair signs.
 
-    Log-space summation from the dominant binomial index outward, stopped at
-    relative tail 1e-15; exact up to rounding.
+    The log binomial term at k_min comes from `math.lgamma`; each later term
+    adds log((n - k) / (k + 1)) to it, one cumulative sum per chunk, and each
+    chunk is summed in log space with a max shift. The sum runs from k_min
+    up and stops at relative tail 1e-15; exact up to rounding.
     """
     if n < 1 or n > 10**7:
         raise ValueError("n must be in [1, 10^7]")
@@ -232,21 +233,25 @@ def exact_binomial_tail_log(n: int, t: float) -> float:
         return -math.inf
     if k_min <= 0:
         return 0.0
-    log_half_n = n * math.log(0.5)
+    anchor = (math.lgamma(n + 1) - math.lgamma(k_min + 1) - math.lgamma(n - k_min + 1)
+              + n * math.log(0.5))
     total = -math.inf
     k = k_min
     chunk = 65536
-    while k <= n:
-        ks = np.arange(k, min(k + chunk, n + 1))
-        logs = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1) + log_half_n
-        part = float(logsumexp(logs))
-        new_total = float(np.logaddexp(total, part))
-        if new_total - part > 34.5:  # chunk contributes < 1e-15 relatively
-            total = new_total
-            break
-        total = new_total
-        k += chunk
-    return min(total, 0.0)
+    while True:
+        stop = min(k + chunk, n + 1)
+        ks = np.arange(k, stop - 1, dtype=float)
+        logs = np.empty(stop - k)  # log pmf(k), ..., log pmf(stop - 1)
+        logs[0] = 0.0
+        np.cumsum(np.log((n - ks) / (ks + 1.0)), out=logs[1:])
+        logs += anchor
+        top = float(logs.max())
+        part = top + math.log(float(np.sum(np.exp(logs - top))))
+        total = float(np.logaddexp(total, part))
+        if stop > n or total - part > 34.5:  # past n, or the chunk adds < 1e-15
+            return min(total, 0.0)
+        anchor = float(logs[-1]) + math.log((n - stop + 1) / stop)  # log pmf(stop)
+        k = stop
 
 
 def _cgf(spec: IIDSpec):
@@ -274,8 +279,7 @@ def _cgf(spec: IIDSpec):
         p, a, b = spec.p, spec.a, spec.b
 
         def K(th):
-            return logsumexp(np.stack([th * a + math.log(p), th * b + math.log(1 - p)]),
-                             axis=0)
+            return np.logaddexp(th * a + math.log(p), th * b + math.log(1 - p))
 
         def Kp(th):
             wa = p * np.exp(th * a - K(th))
@@ -318,9 +322,12 @@ def _draw_tilted(spec: IIDSpec, theta: float, size, rng: np.random.Generator):
 def _tilted_two_point(spec: IIDSpec, theta: float):
     """(q_a, a, b): under the tilt theta a value of a two-point law is a with
     probability q_a = p e^(theta a) / (p e^(theta a) + (1 - p) e^(theta b)),
-    else b. In logistic form, so that no exp overflows at large theta."""
+    else b. In logistic form, so that no exp overflows at large theta: q_a is
+    1 / (1 + e^-x), which equals scipy's expit(x) to the bit, and 0.0 where
+    e^-x is past the largest float."""
     p, a, b = (0.5, 1.0, -1.0) if spec.law == "rademacher" else (spec.p, spec.a, spec.b)
-    return float(expit(theta * (a - b) + math.log(p) - math.log1p(-p))), a, b
+    x = theta * (a - b) + math.log(p) - math.log1p(-p)
+    return (1.0 / (1.0 + math.exp(-x)) if x > -709.78 else 0.0), a, b
 
 
 def tilted_is_estimator(spec: IIDSpec, n: int, t: float, replicas: int,
@@ -426,6 +433,7 @@ def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
         s2 = sigma2 if sigma2 is not None else model.meta.get("sigma2")
         if s2 is None:
             raise ValueError("naive pre-flight needs a sigma2 estimate")
+        from scipy.special import ndtr  # scipy.stats' normal tail to the bit; only here
         expected = replicas * float(ndtr(-t / math.sqrt(s2 * n)))  # normal tail
         if expected < 20.0:
             raise ValueError(

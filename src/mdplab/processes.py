@@ -132,16 +132,23 @@ class LinearProcessSpec:
         return abs(self.C) * ((1.0 + m) ** (1.0 - p) / (p - 1.0) + (1.0 + m) ** (-p))
 
     def truncation_radius(self) -> int:
+        """The least m in [1, 10^7] with width * tail_abs_sum(m) below the
+        tolerance, by bisection: the closed-form tail decreases in m."""
         width = self.innovation.b - self.innovation.a if self.innovation.law == "two_point" \
             else 2 * self.innovation.bound
         if not math.isfinite(self.tail_abs_sum(1)):
             raise ValueError("coefficient sequence is not absolutely summable")
-        m = 1
-        while width * self.tail_abs_sum(m) >= self.truncation_tol:
-            m += 1
-            if m > 10_000_000:
-                raise ValueError("coefficient tail decays too slowly to truncate")
-        return m
+
+        def wide(m):
+            return width * self.tail_abs_sum(m) >= self.truncation_tol
+
+        lo, hi = 0, 10_000_000  # lo = 0 or wide(lo), and never wide(hi)
+        if wide(hi):
+            raise ValueError("coefficient tail decays too slowly to truncate")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if wide(mid) else (lo, mid)
+        return hi
 
 
 @dataclass(frozen=True)

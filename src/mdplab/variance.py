@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 COV_BLOCK_VALUES = 1 << 16  # values per row block of sigma2_covariance_series
+VAR_SN_MIN_REPLICAS = 200  # S_n replicas per n that sigma2_var_sn needs
 
 
 @dataclass
@@ -158,8 +159,8 @@ def sigma2_var_sn(sums_by_n: dict) -> SigmaEstimate:
     """Extrapolated limit of Var(S_n)/n over a dyadic n grid.
 
     `sums_by_n[n]` holds either S_n replicas (1-d) or raw paths (2-d, summed
-    here); >= 200 replicas per n. The limit comes from the weighted fit
-    Var(S_n)/n = sigma^2 + c/n.
+    here); >= VAR_SN_MIN_REPLICAS replicas per n. The limit comes from the
+    weighted fit Var(S_n)/n = sigma^2 + c/n.
     """
     ns = np.array(sorted(sums_by_n), dtype=float)
     if ns.size < 2:
@@ -168,8 +169,8 @@ def sigma2_var_sn(sums_by_n: dict) -> SigmaEstimate:
     for n in sorted(sums_by_n):
         arr = np.asarray(sums_by_n[n], dtype=float)
         s = arr.sum(axis=1) if arr.ndim == 2 else arr
-        if s.size < 200:
-            raise ValueError(f"need >= 200 replicas at n={n}, got {s.size}")
+        if s.size < VAR_SN_MIN_REPLICAS:
+            raise ValueError(f"need >= {VAR_SN_MIN_REPLICAS} replicas at n={n}, got {s.size}")
         r = s.size
         vn = float(np.var(s, ddof=1)) / n
         v.append(vn)

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 import mdplab
 from mdplab.cli import main
-from mdplab.core import RngStream
+from mdplab.core import ProcessModel, RngStream
 from mdplab.processes import model_from_config
 
 
@@ -24,17 +25,46 @@ def test_print_schema(capsys):
     assert "task" in schema and "params" in schema
 
 
-def test_cli_import_stays_lean():
-    # scipy.stats costs about 0.7 s of import; scipy.signal imports it;
-    # mpmath is a test-only dependency, so the library must not need it
-    code = ("import sys, mdplab.cli; loaded = [m for m in "
-            "('scipy.stats', 'scipy.signal', 'mpmath') if m in sys.modules]; "
-            "sys.exit(str(loaded) if loaded else 0)")
+def _fresh_python(code):
     src = os.path.dirname(os.path.dirname(mdplab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+# scipy.stats costs about 0.7 s of import and scipy.signal imports it;
+# scipy.special about 0.2 s and 24 MiB, and only the Clopper-Pearson limit
+# and the naive pre-flight load it; mpmath is a test-only dependency
+HEAVY = ("scipy.special", "scipy.stats", "scipy.signal", "mpmath")
+NOT_LOADED = f"loaded = [m for m in {HEAVY!r} if m in sys.modules]; " \
+             "sys.exit(str(loaded) if loaded else 0)"
+
+
+def test_cli_import_stays_lean():
+    modules = sorted(p.stem for p in pathlib.Path(mdplab.__file__).parent.glob("[!_]*.py"))
+    done = _fresh_python(f"import sys, {', '.join('mdplab.' + m for m in modules)}; "
+                         + NOT_LOADED)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("task,model,params", [
+    ("transfer-decay", {"kind": "expanding", "map": "doubling"}, {}),
+    ("conditions", {"kind": "circle", "a": "golden"}, {"check": "bis", "n_max": 128}),
+])
+def test_kernel_tasks_run_without_scipy_special(tmp_path, task, model, params):
+    cfg = write_cfg(tmp_path, "task.json", {"task": task, "model": model, "params": params,
+                                           "output_dir": str(tmp_path / "out")})
+    done = _fresh_python(f"import sys; from mdplab.cli import main; "
+                         f"assert main(['run', {cfg!r}]) == 0; " + NOT_LOADED)
+    assert done.returncode == 0, done.stderr
+
+
+def test_clopper_pearson_limit_loads_scipy_special():
+    done = _fresh_python(
+        "import sys; from mdplab.inequalities import clopper_pearson_upper; "
+        "assert 'scipy.special' not in sys.modules; clopper_pearson_upper(3, 100); "
+        "sys.exit(0 if 'scipy.special' in sys.modules else 'scipy.special not loaded')")
     assert done.returncode == 0, done.stderr
 
 
@@ -161,6 +191,27 @@ def test_sigma2_method_params_and_defaults(tmp_path, capsys):
                        "dyadic": ["j_max", "n", "replicas"],
                        "var_sn": ["n_grid", "replicas"],
                        "fourier_closed_form": ["a", "coeffs", "k_support"]}
+
+
+def test_sigma2_var_sn_below_its_replica_minimum_is_a_config_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    # var_sn needs 200 sums per n: fewer is a config error, found before any
+    # draw, and the default is that minimum
+    drawn = []
+    batch = ProcessModel.sample_batch
+    monkeypatch.setattr(ProcessModel, "sample_batch",
+                        lambda self, *a: drawn.append(a) or batch(self, *a))
+    cfg = write_cfg(tmp_path, "few.json", {
+        "task": "sigma2", "model": {"kind": "iid"},
+        "params": {"method": "var_sn", "replicas": 199}, "output_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 2
+    assert "var_sn needs replicas >= 200, got 199" in capsys.readouterr().err
+    assert not drawn and not (tmp_path / "out" / "sigma2.csv").exists()
+    cfg = write_cfg(tmp_path, "default.json", {
+        "task": "sigma2", "model": {"kind": "iid"}, "params": {"method": "var_sn"},
+        "output_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 0
+    assert [a[:2] for a in drawn] == [(n, 200) for n in (256, 512, 1024, 2048)]
 
 
 def test_conditions_task_verdict(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,29 @@ def test_exact_binomial_against_scipy():
     k_min = math.ceil((n + t) / 2.0)
     ref = float(stats.binom.sf(k_min - 1, n, 0.5))
     assert exact_binomial_tail_log(n, t) == pytest.approx(math.log(ref), abs=1e-10)
+
+
+def _binomial_tail_log_50_digits(n, t):
+    # sum of C(n, k) 2^-n over k >= k0, every term at 50 digits
+    k0 = math.ceil((n + t) / 2.0)
+    with mpmath.workdps(50):
+        lead = (mpmath.loggamma(n + 1) - mpmath.loggamma(k0 + 1)
+                - mpmath.loggamma(n - k0 + 1) - n * mpmath.log(2))
+        term, total, k = mpmath.mpf(1), mpmath.mpf(0), k0
+        while k <= n and term >= mpmath.mpf(10) ** -25 * total:
+            total += term
+            term = term * (n - k) / (k + 1)
+            k += 1
+        return float(lead + mpmath.log(total))
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6, 10**7])
+def test_exact_binomial_within_the_benchmark_bound_of_a_50_digit_sum(n):
+    # log C(n, k) from float log-gamma cancels terms of size n log n
+    tol = 1e-12 + 16.0 * np.finfo(float).eps * n * math.log(n)
+    for x in (0.3, 1.7, 5.0):
+        t = x * math.sqrt(n)
+        assert abs(exact_binomial_tail_log(n, t) - _binomial_tail_log_50_digits(n, t)) <= tol
 
 
 def test_exact_binomial_large_n_runs():

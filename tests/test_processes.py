@@ -102,6 +102,50 @@ def test_linear_process_matches_direct_convolution():
         assert np.max(np.abs(values)) <= model.bound + 1e-12
 
 
+def _scanned_radius(spec):
+    # m = 1, 2, ... until the closed-form tail is below the tolerance
+    width = spec.innovation.b - spec.innovation.a if spec.innovation.law == "two_point" \
+        else 2 * spec.innovation.bound
+    m = 1
+    while width * spec.tail_abs_sum(m) >= spec.truncation_tol:
+        m += 1
+    return m
+
+
+INNOVATIONS = [IIDSpec(), IIDSpec(law="uniform", c=0.7),
+               IIDSpec(law="two_point", p=0.8, a=-0.25, b=1.0)]
+
+
+@pytest.mark.parametrize("innovation", INNOVATIONS, ids=["rademacher", "uniform", "two_point"])
+def test_truncation_radius_equals_the_linear_scan(innovation):
+    coeffs = ([dict(coeff_kind="geometric", C=C, rho=rho)
+               for C in (1.0, 0.25, -3.0) for rho in (0.1, 0.5, 0.9, 0.99)]
+              + [dict(coeff_kind="power", C=C, power=p)
+                 for C in (1.0, -3.0) for p in (2.5, 3.0, 4.0, 7.5)]
+              + [dict(coeff_kind="delta", C=C) for C in (1.0, 1e-12)])
+    for kw in coeffs:
+        for tol in (0.5, 1e-4, 1e-8):
+            if kw["coeff_kind"] == "power" and kw["power"] < 3.0 and tol < 1e-4:
+                continue  # a scan of about 10^5 steps
+            spec = LinearProcessSpec(innovation=innovation, truncation_tol=tol, **kw)
+            assert spec.truncation_radius() == _scanned_radius(spec), (kw, tol)
+
+
+def test_truncation_radius_refuses_a_slow_tail_at_once(monkeypatch):
+    # sum (1 + i)^-2 from m on is about 1/m: 2/m >= 1e-8 up to m = 10^7
+    calls = []
+    tail = LinearProcessSpec.tail_abs_sum
+    monkeypatch.setattr(LinearProcessSpec, "tail_abs_sum",
+                        lambda self, m: calls.append(m) or tail(self, m))
+    with pytest.raises(ValueError, match="decays too slowly"):
+        LinearProcessSpec(coeff_kind="power", power=2.0).truncation_radius()
+    assert len(calls) <= 2
+    # just inside the cap it answers, with a radius near 10^7
+    calls.clear()
+    m = LinearProcessSpec(coeff_kind="power", power=2.0, truncation_tol=3e-7).truncation_radius()
+    assert 10**6 < m <= 10**7 and len(calls) <= 60
+
+
 def test_linear_block_equals_the_convolution():
     # the acceptance model: c_i = 2^-(i+2) for i <= 27 and signs, so every
     # partial sum is exact in any order and the table sums equal np.convolve

@@ -461,6 +461,22 @@ def test_alternating_chain_is_never_cut_and_keeps_its_terms(check):
     assert np.array_equal(diag.terms, want)
 
 
+def test_periodic_orbit_is_stepped_for_one_block_and_tiled(monkeypatch):
+    # the alternating chain's kernel is a permutation: its orbit has period 2,
+    # so the first 64-row block finds it and the rest is tiled, to the bit
+    model = make_alternating_plus_iid(IIDSpec(law="uniform"))
+    k, f, n_max = model.kernel, model.centered_observable(), 4096
+    applies = []
+    apply = k.apply
+    monkeypatch.setattr(k, "apply", lambda v: applies.append(1) or apply(v))
+    rows = orbit(k, f, n_max)
+    assert len(applies) <= 64
+    monkeypatch.undo()
+    full = _recentred_orbit(k, f, n_max)
+    assert np.array_equal(rows.view(np.uint64), full.view(np.uint64))
+    assert check_bis(model, n_max=n_max).verdict == "diverging"
+
+
 @pytest.mark.parametrize("name", ["circle", "beta3", "gauss"])
 def test_deduplicated_sup_equals_the_per_row_sup(name):
     k = ORBIT_KERNELS[name]()
