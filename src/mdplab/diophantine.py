@@ -7,9 +7,10 @@ loudly ("depth limited" / "insufficient precision") instead of degrading.
 
 The Diophantine arrays d(k a, Z), k = 1..K, behind the approximation audit
 and the Paroux sums come from one exact integer kernel
-(`dist_to_integers_array`): k*A mod 10^40 on 45-bit int64 limbs, rounded to
-float once, so every entry equals float(min(m, 10^40 - m)) / 1e40 for
-m = k*A mod 10^40, to the bit, with no per-k Python loop.
+(`dist_to_integers_array`) on the binary fixed point A = floor(a * 2^128):
+k*A mod 2^128 in two uint64 words, rounded to float once, so every entry
+equals float(min(m, 2^128 - m)) / 2^128 for m = k*A mod 2^128, to the bit,
+with no per-k Python loop.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ __all__ = [
     "paroux_sum",
 ]
 
-_SCALE_DIGITS = 40
-_SCALE = 10**_SCALE_DIGITS
-# dist_to_integers_array's kernel holds integers below 2 * 10^40 < 2^135 as
-# three 45-bit limbs, so limb sums and borrows never leave int64
-_LIMB_BITS = 45
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_SCALE = 10**40  # quadratic specs' intervals are 10^-40 wide
 
 
 class PrecisionError(ValueError):
@@ -96,14 +92,14 @@ class IrrationalSpec:
         return float(hi - lo)
 
     def scaled_int(self) -> int:
-        """floor(midpoint * 10^40); fast-path key for distance computations.
+        """floor(midpoint * 2^128), the binary fixed point of `dist_to_integers_array`.
 
-        The caller owns the error budget: |a - scaled_int/10^40| is at most
-        uncertainty/2 + 10^-40.
+        The caller owns the error budget: |a - scaled_int/2^128| is at most
+        uncertainty/2 + 2^-128.
         """
         lo, hi = self.interval()
         mid = (lo + hi) / 2
-        return (mid.numerator * _SCALE) // mid.denominator
+        return (mid.numerator << 128) // mid.denominator
 
 
 def golden_spec() -> IrrationalSpec:
@@ -176,7 +172,8 @@ def cf_expand(a: IrrationalSpec, K: int):
 
 def convergents(quotients: Sequence[int], spec: Optional[IrrationalSpec] = None):
     """Exact p_k/q_k by the integer recurrence; optionally verifies
-    |q_k a - p_k| < 1/q_{k+1} against the spec's enclosing interval."""
+    |q_k a - p_k| < 1/q_{k+1} against the spec's enclosing interval, with a
+    PrecisionError where that interval is too wide to decide it."""
     p_prev, p = 1, quotients[0]
     q_prev, q = 0, 1
     out = [Convergent(k=0, p=int(p), q=1)]
@@ -192,9 +189,8 @@ def convergents(quotients: Sequence[int], spec: Optional[IrrationalSpec] = None)
         lo, hi = spec.interval()
         for c, c_next in zip(out, out[1:]):
             err_hi = max(abs(c.q * lo - c.p), abs(c.q * hi - c.p))
-            if err_hi >= Fraction(1, c_next.q):
-                raise AssertionError(
-                    f"|q_k a - p_k| < 1/q_(k+1) failed at k={c.k}")
+            if err_hi >= Fraction(1, c_next.q):  # the interval is too wide to tell
+                raise PrecisionError(f"|q_k a - p_k| < 1/q_(k+1) unverifiable at k={c.k}")
     return out
 
 
@@ -217,98 +213,60 @@ def dist_to_integers(k: int, a: IrrationalSpec):
     return float(d), float(err)
 
 
-def _limbs(values) -> tuple:
-    """(low, middle, high) int64 limb arrays of integers in [0, 2^135)."""
-    rows = np.array([(v & _LIMB_MASK, (v >> _LIMB_BITS) & _LIMB_MASK, v >> 2 * _LIMB_BITS)
-                     for v in values], dtype=np.int64).reshape(-1, 3)
-    return tuple(np.ascontiguousarray(rows[:, i]) for i in range(3))
-
-
-def _sub_limbs(x: tuple, y: tuple) -> tuple:
-    """x - y on limbs with the borrows propagated; the high limb carries the sign."""
-    lo = x[0] - y[0]
-    mid = x[1] - y[1] + (lo >> _LIMB_BITS)
-    hi = x[2] - y[2] + (mid >> _LIMB_BITS)
-    return lo & _LIMB_MASK, mid & _LIMB_MASK, hi
-
-
-def _limbs_to_float(x: tuple) -> np.ndarray:
-    """float(x) for limb triples x < 2^135, correctly rounded like Python's float(int).
-
-    The top of x is cut into a window of 62 or 63 bits (never more, so it
-    stays a positive int64, and at least 55, so one ulp of a double plus a
-    round bit and a sticky bit fit); the cut-off bits are OR-ed into the
-    window's last bit. The int64 -> float64 cast rounds that window once,
-    half to even, and `ldexp` scales it back exactly.
-    """
-    lo, mid, hi = x
-    # magnitude estimate: the exponent e of its float is bit_length(x) or one more
-    approx = hi * 2.0 ** (2 * _LIMB_BITS) + mid * 2.0 ** _LIMB_BITS + lo
-    shift = np.maximum(np.frexp(approx)[1].astype(np.int64) - 63, 0)
-    # numpy shifts by a count outside [0, 64) give 0 for non-negative values
-    window = ((hi << (2 * _LIMB_BITS - shift))
-              | (mid << (_LIMB_BITS - shift)) | (mid >> (shift - _LIMB_BITS))
-              | (lo >> shift))
-    mid_cut = np.maximum(shift - _LIMB_BITS, 0)
-    sticky = (mid & ((1 << mid_cut) - 1)) | (lo & ((1 << shift) - 1))
-    window |= sticky != 0
-    return np.ldexp(window.astype(np.float64), shift)
-
-
-_S_LIMBS = tuple(int(v[0]) for v in _limbs([_SCALE]))
-_HALF_LIMBS = tuple(int(v[0]) for v in _limbs([_SCALE // 2]))
 _KERNEL_CHUNK = 1 << 13  # values of k per kernel pass; bounds the transient arrays
 _AUDIT_CHUNK = 1 << 16  # values of k per audit comparison
 
 
-def _kernel_layout(K: int) -> tuple:
-    """(table width B, table rows, rows per pass) for k = 0..K laid out as k = qB + r."""
-    width = min(math.isqrt(K) + 1, _KERNEL_CHUNK)
-    return width, K // width + 1, max(1, _KERNEL_CHUNK // width)
+def _unit_float(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """x / 2^128 for x = hi*2^64 + lo, correctly rounded like float(x) / 2**128.
+
+    The top of x is cut into a window of 62 or 63 bits (a positive int64 that
+    holds one ulp of a double plus a round and a sticky bit); the cut-off bits
+    are OR-ed into the window's last bit. The int64 -> float64 cast rounds the
+    window once, half to even, and `ldexp` scales it back exactly.
+    """
+    # magnitude estimate: the exponent e of its float is bit_length(x) or one more
+    approx = hi * 2.0**64 + lo
+    shift = np.maximum(np.frexp(approx)[1] - 63, 0).astype(np.uint64)
+    # uint64 shift counts wrap below 0 and numpy shifts by 64 or more give 0,
+    # so hi reaches the window by exactly one of the two shifts
+    window = (hi << (64 - shift)) | (hi >> (shift - 64)) | (lo >> shift)
+    hi_cut = np.maximum(shift, 64) - 64
+    sticky = (lo & ((1 << shift) - 1)) | (hi & ((1 << hi_cut) - 1))
+    window |= sticky != 0
+    return np.ldexp(window.view(np.int64).astype(np.float64), shift.astype(np.int64) - 128)
 
 
 def dist_to_integers_array(a: IrrationalSpec, K: int) -> np.ndarray:
-    """d(k a, Z) for k = 1..K via the scaled-integer fast path.
+    """d(k a, Z) for k = 1..K on the binary fixed point A = a.scaled_int().
 
-    Entry k equals float(min(m, 10^40 - m)) / 1e40 with m = k*A mod 10^40 and
-    A = a.scaled_int(), to the bit. Its error against the true d(k a, Z) is
-    below (k+1)/10^40, far under float resolution for K <= 10^7.
+    Entry k equals float(min(m, 2^128 - m)) / 2^128 with m = k*A mod 2^128,
+    to the bit. Its error against the true d(k a, Z) is at most
+    k*(a.uncertainty/2 + 2^-128), far under float resolution for K < 2^32.
 
-    Exact integer kernel, no per-k Python loop: with k = qB + r and B about
-    sqrt(K), k*A mod S (S = 10^40) is (Q_q + R_r) mod S for two tables built
-    in Python integers, R_r = r*A mod S and Q_q = q*(B*A mod S) mod S. Each
-    table entry is held as three 45-bit int64 limbs; the chunks of k (rows q
-    times all r) add limbwise with carries, subtract S at most once and fold
-    to min(m, S - m) exactly, then round to float once (`_limbs_to_float`).
+    m is held as two uint64 words, whose wrap-around is the reduction mod
+    2^128. For k < 2^32 it comes from three exact 64-bit products k*A_0,
+    k*A_1 (the two 32-bit halves of the low word) and k*A_hi, and
+    min(m, 2^128 - m) is a two-word negate where bit 127 of m is set.
     """
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
+    if K >= 1 << 32:
+        raise ValueError(f"K must be below 2^32 for the two-word kernel, got {K}")
     out = np.empty(K)
-    if K == 0:
-        return out
-    A = a.scaled_int()
-    width, rows, rows_per_pass = _kernel_layout(K)
-    step = width * A % _SCALE
-    R = _limbs([r * A % _SCALE for r in range(width)])
-    Q = _limbs([q * step % _SCALE for q in range(rows)])
-    for q0 in range(0, rows, rows_per_pass):
-        q1 = min(q0 + rows_per_pass, rows)
-        # m = Q_q + R_r < 2S, carries propagated; rows of k = qB + r laid end to end
-        lo = (Q[0][q0:q1, None] + R[0]).ravel()
-        mid = (Q[1][q0:q1, None] + R[1]).ravel() + (lo >> _LIMB_BITS)
-        hi = (Q[2][q0:q1, None] + R[2]).ravel() + (mid >> _LIMB_BITS)
-        m = (lo & _LIMB_MASK, mid & _LIMB_MASK, hi)
-        # m mod S: subtract S where that leaves m >= 0
-        t = _sub_limbs(m, _S_LIMBS)
-        m = tuple(np.where(t[2] < 0, mi, ti) for mi, ti in zip(m, t))
-        # min(m, S - m): S - m where m > S/2, i.e. where S/2 - m < 0
-        above = _sub_limbs(_HALF_LIMBS, m)[2] < 0
-        u = _sub_limbs(_S_LIMBS, m)
-        d = tuple(np.where(above, ui, mi) for mi, ui in zip(m, u))
-        k0 = q0 * width
-        first, last = max(k0, 1), min(q1 * width - 1, K)
-        out[first - 1:last] = _limbs_to_float(d)[first - k0:last - k0 + 1]
-    out /= _SCALE
+    A = a.scaled_int() % (1 << 128)
+    a0, a1, a_hi = (np.uint64(w) for w in (A & 0xFFFFFFFF, A >> 32 & 0xFFFFFFFF, A >> 64))
+    for k0 in range(0, K, _KERNEL_CHUNK):
+        k = np.arange(k0 + 1, min(k0 + _KERNEL_CHUNK, K) + 1, dtype=np.uint64)
+        mid = k * a1
+        lo_add = mid << 32
+        lo = k * a0 + lo_add
+        hi = k * a_hi + (mid >> 32) + (lo < lo_add)  # the last term is the carry
+        # min(m, 2^128 - m): negate both words where bit 127 is set
+        neg = hi >> 63 != 0
+        hi = np.where(neg, ~hi + (lo == 0), hi)
+        lo = np.where(neg, -lo, lo)
+        out[k0:k0 + k.size] = _unit_float(hi, lo)
     return out
 
 
@@ -321,8 +279,9 @@ def badly_approximable_audit(a: IrrationalSpec, eps: float, K: int):
         raise ValueError(f"audit range K must be >= 1, got {K}")
     if eps <= 0.0:
         raise ValueError("eps must be positive (eps = 0 hits every convergent)")
-    # the smallest threshold in play is K^(-1-eps); distances must resolve it
-    if K * a.uncertainty / 2 > 0.01 * K ** (-1.0 - eps):
+    # the smallest threshold in play is K^(-1-eps); distances must resolve it,
+    # against both the spec's interval and the kernel's 2^-128 fixed point
+    if K * (a.uncertainty / 2 + 2.0**-128) > 0.01 * K ** (-1.0 - eps):
         raise PrecisionError("irrational spec too coarse to audit up to this K")
     d = dist_to_integers_array(a, K)
     hits = []

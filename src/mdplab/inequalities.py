@@ -57,12 +57,9 @@ def puw_bound(n: int, t: float, x_inf: float, cond_norms: Sequence[float]) -> fl
 
 
 def projection_bound(n: int, x: float, g_weights: Sequence[float],
-                     p_seq: Sequence[float]):
-    """Maximal-inequality pair from summable projection norms.
-
-    With D = sum_j p_j and G^2 = sum_{i<=n} g_i^2, returns
-    (moment_bound, tail_value): moment_bound(t) = 4 exp(G^2 D^2 t^2 / 2) and
-    tail_value = 8 exp(-x^2 / (2 G^2 D^2)).
+                     p_seq: Sequence[float]) -> float:
+    """Maximal-inequality tail bound from summable projection norms: with
+    D = sum_j p_j and G^2 = sum_{i<=n} g_i^2, it is 8 exp(-x^2 / (2 G^2 D^2)).
     """
     g = np.asarray(g_weights, dtype=float)[:n]
     p = np.asarray(p_seq, dtype=float)
@@ -72,12 +69,7 @@ def projection_bound(n: int, x: float, g_weights: Sequence[float],
     G2 = float(np.sum(g * g))
     if D == 0.0 or G2 == 0.0:
         raise ValueError("degenerate weights: D and G must be positive")
-
-    def moment_bound(t: float) -> float:
-        return 4.0 * math.exp(0.5 * G2 * D * D * t * t)
-
-    tail_value = 8.0 * math.exp(-(x * x) / (2.0 * G2 * D * D))
-    return moment_bound, tail_value
+    return 8.0 * math.exp(-(x * x) / (2.0 * G2 * D * D))
 
 
 def blocking_bound_first_term(n: int, B: float, c: int, delta: float) -> float:
@@ -140,7 +132,7 @@ def _bound_evaluator(model: ProcessModel, bound_spec: dict, n: int) -> Callable[
             raise ValueError("projection norms sum below the model bound; "
                              "the spec cannot dominate ||X||_inf")
         g = spec.get("g_weights", np.ones(n))
-        return lambda x: projection_bound(n, x, g, p_seq)[1]
+        return lambda x: projection_bound(n, x, g, p_seq)
     raise ValueError(f"unknown bound kind {kind!r}")
 
 

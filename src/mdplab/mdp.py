@@ -148,16 +148,25 @@ def _cond_block_means(kernel, f_values: np.ndarray, start_states: np.ndarray,
     return kernel.eval(cum, np.asarray(start_states, dtype=float))
 
 
-def _enum_circle_block_mean(kernel, x0: float, m: int) -> float:
-    """Oracle by exhaustive enumeration of the 2^m coin sequences."""
-    a = kernel.a
-    coins = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # (2^m, m), bit s = step s
-    steps = np.where(coins == 1, a, -a)
-    # positions accumulate left to right from x0, one walk per row
-    x = np.cumsum(np.column_stack([np.full(1 << m, float(x0)), steps]), axis=1)[:, 1:]
-    values = kernel.eval_coeffs(kernel.centered_coeffs(), x)
-    # running sum in enumeration order, the order a scalar loop adds in
-    return float(np.cumsum(values.ravel())[-1]) / (1 << m)
+def _occupation_weights(m: int) -> np.ndarray:
+    """w(d) = sum over s = 1..m of P(a fair +-1 walk from 0 is at d after s
+    steps), for d = -m..m: one binomial recursion. Every w(d) * 2^m is an
+    integer below m * 2^m, so the floats are exact dyadics while m <= 47."""
+    p = np.zeros(2 * m + 3)  # one zero pad on each side of d = -m..m
+    p[m + 1] = 1.0
+    w = np.zeros(2 * m + 1)
+    for _ in range(m):
+        p[1:-1] = 0.5 * (p[:-2] + p[2:])
+        w += p[1:-1]
+    return w
+
+
+def _circle_block_means(kernel, x0: np.ndarray, m: int) -> np.ndarray:
+    """Oracle for E(sum of the next m observables | x0) on the circle walk:
+    sum_d w(d) f(x0 + a d) with the walk's occupation weights, no kernel orbit."""
+    d = np.arange(-m, m + 1)
+    values = kernel.eval_coeffs(kernel.centered_coeffs(), x0[:, None] + kernel.a * d)
+    return values @ _occupation_weights(m)
 
 
 def block_martingale_decompose(model: ProcessModel, path, m: int,
@@ -165,10 +174,10 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
     """Split S_n into m-block martingale increments plus predictable means.
 
     Requires an exact-kernel model with recorded states. On circle-walk
-    kernels with m <= 12 the conditional means of up to `check_blocks` blocks
-    are checked against exhaustive enumeration of the coin sequences (exact
-    oracle). No other kernel has such a check: there `cond_mean_check` is nan
-    and `cond_mean_checked` is False.
+    kernels the conditional means of up to `check_blocks` blocks are checked
+    against the walk's occupation weights (exact oracle, O(m^2) work). No
+    other kernel has such a check: there `cond_mean_check` is nan and
+    `cond_mean_checked` is False.
     """
     kernel, f_nodes = model.kernel, model.centered_observable()
     if path.states is None:
@@ -202,12 +211,12 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
     boundary = float(np.sum(values[n_blocks * m :]))
 
     check = math.nan
-    if isinstance(kernel, CircleFourierKernel) and m <= 12:
+    if isinstance(kernel, CircleFourierKernel):
         first = 0 if st.size == n + 1 else 1
-        checked = range(first, min(first + check_blocks, n_blocks))
-        if len(checked):
-            check = max(abs(_enum_circle_block_mean(kernel, starts[i], m) - cond[i])
-                        for i in checked)
+        checked = np.arange(first, min(first + check_blocks, n_blocks))
+        if checked.size:
+            check = float(np.max(np.abs(_circle_block_means(kernel, starts[checked], m)
+                                        - cond[checked])))
     return BlockDecomposition(m=m, block_sums=block_sums, cond_means=cond,
                               increments=increments, boundary=boundary,
                               cond_mean_check=check,

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .transfer import ChebyshevKernel, CircleFourierKernel, FiniteStateKernel
-from .core import ProcessModel
+from .core import ProcessModel, RngStream
 
 __all__ = [
     "GOLDEN",
@@ -386,8 +386,8 @@ def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
     else:
         if spec.f_bound is None:
             raise ValueError("a custom observable must declare f_bound")
-        # center empirically once, with a pinned internal stream
-        rng = np.random.default_rng(np.random.SeedSequence(0xC0FFEE))
+        # center empirically once, with a pinned named stream
+        rng = RngStream(0xC0FFEE).named("linear-center").generator()
         center = float(np.mean(f(linear_values((1 << 20) - M, rng, None))))
         bound = 2 * spec.f_bound
 

@@ -155,20 +155,19 @@ def sigma2_dyadic(paths, j_max: int) -> SigmaEstimate:
                                "level_se": np.array(level_se)})
 
 
-def sigma2_var_sn(sums_by_n: dict) -> SigmaEstimate:
+def sigma2_var_sn(paths_by_n: dict) -> SigmaEstimate:
     """Extrapolated limit of Var(S_n)/n over a dyadic n grid.
 
-    `sums_by_n[n]` holds either S_n replicas (1-d) or raw paths (2-d, summed
-    here); >= VAR_SN_MIN_REPLICAS replicas per n. The limit comes from the
-    weighted fit Var(S_n)/n = sigma^2 + c/n.
+    `paths_by_n[n]` holds paths of length n, one replica per row;
+    >= VAR_SN_MIN_REPLICAS replicas per n. The limit comes from the weighted
+    fit Var(S_n)/n = sigma^2 + c/n.
     """
-    ns = np.array(sorted(sums_by_n), dtype=float)
+    ns = np.array(sorted(paths_by_n), dtype=float)
     if ns.size < 2:
         raise ValueError("need at least two n values to extrapolate")
     v, v_se = [], []
-    for n in sorted(sums_by_n):
-        arr = np.asarray(sums_by_n[n], dtype=float)
-        s = arr.sum(axis=1) if arr.ndim == 2 else arr
+    for n in sorted(paths_by_n):
+        s = np.asarray(paths_by_n[n], dtype=float).sum(axis=1)
         if s.size < VAR_SN_MIN_REPLICAS:
             raise ValueError(f"need >= {VAR_SN_MIN_REPLICAS} replicas at n={n}, got {s.size}")
         r = s.size

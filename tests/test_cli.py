@@ -430,3 +430,16 @@ def test_precision_refusal_exit_code(tmp_path):
         "output_dir": str(tmp_path / "out"),
     })
     assert main(["run", cfg]) == 3
+
+
+@pytest.mark.parametrize("action, K", [("convergents", 100), ("audit", 2**32)])
+def test_diophantine_past_its_limits_exits_3(tmp_path, capsys, action, K):
+    # golden's interval verifies convergents up to k = 95 only, and the audit's
+    # two-word kernel takes K < 2^32: both are refusals, not tracebacks
+    cfg = write_cfg(tmp_path, "dio.json", {
+        "task": "diophantine", "params": {"a": "golden", "action": action, "K": K},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precision refusal:" if action == "convergents" else "refused:")

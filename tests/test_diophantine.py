@@ -54,6 +54,14 @@ def test_convergents_verify_against_interval():
     convergents(cf_expand(sqrt2m1_spec(), 25), spec=sqrt2m1_spec())
 
 
+def test_convergents_past_the_verifiable_depth_are_a_precision_error():
+    # golden's 10^-40 interval decides the certificate up to k = 95 only
+    quotients = cf_expand(golden_spec(), 100)
+    assert len(convergents(quotients[:97], spec=golden_spec())) == 97
+    with pytest.raises(PrecisionError, match="unverifiable at k=96"):
+        convergents(quotients[:98], spec=golden_spec())
+
+
 def test_literal_expansion_exhausts_precision_loudly():
     spec = IrrationalSpec(kind="literal", literal="0.6180339887", radius=1e-10)
     with pytest.raises(PrecisionError):
@@ -151,15 +159,23 @@ def test_interval_encloses_value():
 
 
 def reference_dist_array(a, K):
-    """The per-k big-integer loop the limb kernel replaced, kept as its oracle."""
-    S = 10**40
-    A = a.scaled_int()
+    """The per-k big-integer loop at the kernel's modulus 2^128, its oracle."""
+    S = 1 << 128
+    A = a.scaled_int() % S
     out = np.empty(K)
     m = 0
     for k in range(1, K + 1):
         m = (m + A) % S
-        out[k - 1] = min(m, S - m)
-    return out / S
+        out[k - 1] = float(min(m, S - m)) / S
+    return out
+
+
+def binary_literal(A):
+    """The literal A / 2^128 for |A| < 2^128, written out exactly, so that
+    scaled_int() is A."""
+    digits = f"{abs(A) * 5**128:0128d}"  # A / 2^128 = A * 5^128 / 10^128
+    return IrrationalSpec(kind="literal", literal=("-0." if A < 0 else "0.") + digits,
+                          radius=1e-200)
 
 
 KERNEL_SPECS = {
@@ -169,44 +185,51 @@ KERNEL_SPECS = {
     "above_one": IrrationalSpec(kind="quadratic", P=0, D=7919),  # sqrt(7919) = 88.99..
     "surd_over_5": IrrationalSpec(kind="quadratic", P=3, D=7919, Q=5),
     "liouville": liouville_literal(),
-    # rational: k*A = 0 mod 10^40 at every k divisible by 4, so d = 0.0 there
+    # rational: k*A = 0 mod 2^128 at every k divisible by 4, so d = 0.0 there
     "quarter": IrrationalSpec(kind="literal", literal="0.25", radius=1e-50),
-    # 4A = 10^40 + 40: limb sums overshoot 10^40 by less than the top limb's
-    # unit, so only the borrow chain's sign tells that 10^40 must come off
-    "quarter_plus": IrrationalSpec(kind="literal", literal="0.25" + "0" * 36 + "1",
-                                   radius=1e-50),
-    # A = 10^40/2 - 6e26: k = 1 sits below the fold point by less than the top
-    # limb's unit, and folding it the wrong way moves d by about 2^11 ulps
-    "below_half": IrrationalSpec(kind="literal", literal="0.49999999999994",
-                                 radius=1e-50),
+    # k = 1 leaves m one below 2^127, which must not fold; k = 2 folds 2^128 - 2
+    "below_half": binary_literal((1 << 127) - 1),
+    # k = 1 leaves m one above 2^127, which folds to 2^127 - 1
+    "above_half": binary_literal((1 << 127) + 1),
+    # zero high word; 3 * 0x55555555 = 2^32 - 1, so k = 3 carries out of the low word
+    "low_carry": binary_literal(0x55555555_FFFFFFFF),
+    # m = 2^128 - 3k: every k folds to 3k, whose high word is zero
+    "zero_high": binary_literal(-3),
+    # m = 2^128 - k*2^64 has a zero low word, so the negate carries into the high word
+    "zero_low": binary_literal(-(1 << 64)),
 }
 
 
 def _boundary_Ks():
-    """K = 0..3, K +/-1 around 1024 (where the table width sqrt(K) grows), and
-    K whose last k sits just before, on or just after the end of a kernel pass."""
-    Ks = {0, 1, 2, 3, 1023, 1024, 1025}
+    """K = 0..3 and K whose last k sits just before, on or just after the end
+    of a kernel pass."""
     chunk = diophantine._KERNEL_CHUNK
-    for K in range(chunk - 300, 4 * chunk + 300):
-        width, _, rows_per_pass = diophantine._kernel_layout(K)
-        if (K + 1) % (width * rows_per_pass) in (0, 1, width * rows_per_pass - 1):
-            Ks.add(K)
-    return sorted(Ks)
+    return [0, 1, 2, 3] + [j * chunk + d for j in (1, 2) for d in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_dist_array_kernel_equals_reference_loop(name):
     a = KERNEL_SPECS[name]
-    for K in _boundary_Ks():
-        got, want = dist_to_integers_array(a, K), reference_dist_array(a, K)
-        assert got.shape == want.shape == (K,)
-        assert np.array_equal(got, want), (name, K)
+    Ks = _boundary_Ks()
+    want = reference_dist_array(a, max(Ks))
+    for K in Ks:
+        got = dist_to_integers_array(a, K)
+        assert got.shape == (K,)
+        assert np.array_equal(got, want[:K]), (name, K)
 
 
-@pytest.mark.parametrize("name", ["golden", "negative", "liouville"])
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_dist_array_kernel_equals_reference_loop_at_1e5(name):
     a = KERNEL_SPECS[name]
     assert np.array_equal(dist_to_integers_array(a, 10**5), reference_dist_array(a, 10**5))
+
+
+def test_binary_edge_specs_hit_their_fixed_points():
+    S = 1 << 128
+    for name, A in (("below_half", S // 2 - 1), ("above_half", S // 2 + 1),
+                    ("low_carry", 0x55555555_FFFFFFFF), ("zero_high", S - 3),
+                    ("zero_low", S - (1 << 64))):
+        assert KERNEL_SPECS[name].scaled_int() % S == A, name
 
 
 def test_dist_array_rational_literal_hits_zero():
@@ -215,25 +238,27 @@ def test_dist_array_rational_literal_hits_zero():
     assert d[:3].tolist() == [0.25, 0.5, 0.25]
 
 
-def test_limbs_to_float_rounds_like_python_float():
-    # halfway and just-off-halfway mantissas at every shift, across the limb
-    # boundaries, plus all-ones runs that carry into the next power of two
-    values = [0, 1, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63, 2**135 - 1]
-    for shift in range(0, 135 - 54):
+def test_unit_float_rounds_like_python_float():
+    # halfway and just-off-halfway mantissas at every shift, across the word
+    # boundary, plus all-ones runs that carry into the next power of two
+    values = [0, 1, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64,
+              2**127, 2**128 - 1]
+    for shift in range(0, 128 - 54):
         for m in (2**53 + 1, 2**53 + 3, 2**54 - 1):
             base = m << shift
-            values += [v for v in (base - 1, base, base + 1) if v < 2**135]
-    # halfway above 2^108 plus one bit that only the middle limb holds: the
-    # low limb is zero, so the middle limb's cut-off bits must reach the sticky bit
-    for j in range(45, 90):
-        half = (2**53 + 1) << 70
-        values += [half + (1 << j), half - (1 << j)]
+            values += [v for v in (base - 1, base, base + 1) if v < 2**128]
+    # halfway plus or minus one bit below the window: in the low word while
+    # the window spans both words, and in the high word's cut-off bits
+    for top in (46, 74):
+        half = (2**53 + 1) << top
+        values += [half + (1 << j) for j in range(top)] + [half - (1 << j) for j in range(top)]
     rng = np.random.default_rng(7)
     values += [int(v) for v in rng.integers(0, 2**62, 2000)]
-    values += [int.from_bytes(rng.bytes(17), "little") >> int(rng.integers(1, 135))
+    values += [int.from_bytes(rng.bytes(16), "little") >> int(rng.integers(0, 128))
                for _ in range(4000)]
-    got = diophantine._limbs_to_float(diophantine._limbs(values))
-    assert got.tolist() == [float(v) for v in values]
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+    assert diophantine._unit_float(hi, lo).tolist() == [float(v) / 2**128 for v in values]
 
 
 def test_dist_array_transient_memory_is_bounded():
@@ -268,6 +293,19 @@ def test_dist_array_rejects_negative_K():
     with pytest.raises(ValueError, match="K must be >= 0"):
         dist_to_integers_array(golden_spec(), -1)
     assert dist_to_integers_array(golden_spec(), 0).shape == (0,)
+
+
+def test_dist_array_refuses_K_from_2_32_before_allocating():
+    # k < 2^32 keeps the kernel's three word products exact; past that the
+    # refusal comes first, so a 32 GiB output is never requested
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            dist_to_integers_array(golden_spec(), 2**32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_audit_rejects_empty_range():

@@ -57,11 +57,9 @@ def test_puw_memory_widens_the_bound():
 
 
 def test_projection_bound_shapes():
-    moment, tail = projection_bound(16, 2.0, np.ones(16), [1.0])
+    tail = projection_bound(16, 2.0, np.ones(16), [1.0])
     # tail = 8 exp(-x^2 / (2 G^2 D^2)) with D = 1, G^2 = 16
     assert tail == pytest.approx(8.0 * math.exp(-4.0 / (2.0 * 16.0)), rel=1e-12)
-    # moment bound at t: 4 exp(G^2 D^2 t^2 / 2)
-    assert moment(0.5) == pytest.approx(4.0 * math.exp(0.5 * 16.0 * 0.25), rel=1e-12)
 
 
 def test_blocking_guard():

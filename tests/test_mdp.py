@@ -13,9 +13,9 @@ from mdplab.mdp import (
     TILTED_CHUNK,
     PiecewiseLinearPath,
     _cgf,
+    _circle_block_means,
     _cond_block_means,
     _draw_tilted,
-    _enum_circle_block_mean,
     _solve_tilt,
     _tilted_two_point,
     block_martingale_decompose,
@@ -244,10 +244,13 @@ def test_decompose_circle_against_enumeration():
     model = make_circle_walk(CircleWalkSpec(a=GOLDEN))
     path = model.sample(128, STREAM.named("dec-circle"))
     dec = block_martingale_decompose(model, path, m=4, check_blocks=8)
-    # check_blocks cross-validates cond means against exhaustive 2^m coins
+    # check_blocks cross-validates cond means against the occupation-weight oracle
     assert dec.cond_mean_check < 1e-10
     assert dec.reconstruct() == pytest.approx(float(np.sum(path.values)),
                                               abs=1e-10)
+    # no cap on m: a 20-step block is checked too
+    long = block_martingale_decompose(model, path, m=20, check_blocks=8)
+    assert long.cond_mean_checked and long.cond_mean_check < 1e-10
 
 
 def test_iterated_cond_block_means_match_closed_form():
@@ -269,9 +272,6 @@ def test_decompose_reports_unchecked_cond_means_honestly():
     circle = make_circle_walk(CircleWalkSpec(a=GOLDEN))
     cpath = circle.sample(128, STREAM.named("dec-circle"))
     assert block_martingale_decompose(circle, cpath, m=4).cond_mean_checked
-    # beyond m = 12 enumeration is not run, so nothing was checked
-    long = block_martingale_decompose(circle, cpath, m=16)
-    assert not long.cond_mean_checked and math.isnan(long.cond_mean_check)
 
 
 def test_decompose_martingale_increments_are_centered():
@@ -286,19 +286,18 @@ def test_decompose_martingale_increments_are_centered():
     assert np.all(np.abs(means) < 4.0 * ses + 1e-3)
 
 
-def test_enumeration_oracle_matches_scalar_loop():
+def test_occupation_oracle_equals_coin_enumeration():
     kernel = make_circle_walk(CircleWalkSpec(
         a=GOLDEN, coeffs={1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1, -2: 0.1})).kernel
     centered = kernel.centered_coeffs()
-    for x0, m in ((0.1234, 1), (0.77, 5), (0.5, 8)):
-        # reference: walk every coin sequence step by step, summing as it goes
-        total = 0.0
-        for bits in range(1 << m):
-            x = x0
-            for s in range(m):
-                x = x + (kernel.a if (bits >> s) & 1 else -kernel.a)
-                total += float(kernel.eval_coeffs(centered, np.array([x]))[0])
-        assert _enum_circle_block_mean(kernel, x0, m) == total / (1 << m)
+    x0 = np.array([0.1234, 0.77, 0.5])
+    for m in range(1, 13):
+        # reference: walk every coin sequence, position by position
+        coins = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        x = x0[:, None, None] + kernel.a * np.cumsum(2 * coins - 1, axis=1)
+        want = [math.fsum(row.ravel()) / (1 << m) for row in kernel.eval_coeffs(centered, x)]
+        got = _circle_block_means(kernel, x0, m)
+        assert np.max(np.abs(got - want)) <= 1e-14, m
 
 
 def test_naive_estimator_matches_per_replica_loop():

@@ -115,3 +115,14 @@ def test_every_default_is_a_listed_knob():
     found = [k for p in sorted(SRC.glob("*.py")) for k in _defaults(ast.parse(p.read_text()))]
     assert len(found) == len(set(found))
     assert set(found) == set(KNOBS)
+
+
+def test_every_generator_is_built_by_rng_stream():
+    # one rule for deriving streams: numpy seed sequences and generators are
+    # built in core.py (RngStream.generator and the batched path that mirrors
+    # its keys) and nowhere else in the library
+    makers = {"default_rng", "SeedSequence", "Generator", "Philox", "PCG64", "RandomState"}
+    files = {p.name for p in SRC.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in makers}
+    assert files == {"core.py"}

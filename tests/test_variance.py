@@ -62,7 +62,7 @@ def test_var_sn_extrapolation():
 
 def test_var_sn_replica_guard():
     with pytest.raises(ValueError):
-        sigma2_var_sn({64: np.zeros(100), 128: np.zeros(100)})
+        sigma2_var_sn({64: np.zeros((100, 64)), 128: np.zeros((100, 128))})
 
 
 def test_circle_fourier_closed_form_golden():
