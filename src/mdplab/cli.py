@@ -139,7 +139,7 @@ def _load_config(path: str) -> dict:
                                      and params["bound"].get("kind") in BOUND_KINDS):
         raise ConfigError(f"param bound must be an object with kind in {BOUND_KINDS}")
     seed = cfg.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     types = dict(_PARAM_TYPES, a=("a number", _number)) if task == "sigma2" else _PARAM_TYPES
     for key in sorted(params.keys() & types.keys()):

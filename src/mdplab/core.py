@@ -175,15 +175,15 @@ REPLICA_CHUNK = 1024  # replicas per chunk of maxima and naive hit counts
 class ProcessModel:
     """A sampler of a stationary bounded mean-zero sequence.
 
-    Sampler contract: `sampler(n, rng, reps=None)` draws from the generator
-    `rng` and returns either values or a pair (values, states) when the model
-    tracks an underlying Markov state. With reps=None the values are one path
-    of shape (n,); with an integer reps they are a block of shape (reps, n),
-    one independent stationary path per row, drawn in one pass from the same
-    generator. States follow the values' leading shape; a block may omit
-    states, since no caller reads them. `sample`, `sample_block` and
-    `sample_rows` are the checked entry points: they enforce the shape and
-    the bound |x| <= bound on every value, which no nan or inf meets.
+    Sampler contract: `sampler(n, rng, reps)` draws a block of shape
+    (reps, n) from the generator `rng`, one independent stationary path per
+    row, in one pass. It returns the values, or a pair (values, states) when
+    the model tracks an underlying Markov state, with states of shape
+    (reps, n) or (reps, n + 1). A block of more than one row may omit its
+    states, since no caller reads them. `sample` is row 0 of the one-row
+    block, states included. `sample`, `sample_block` and `sample_rows` are
+    the checked entry points: they enforce the shape and the bound
+    |x| <= bound on every value, which no nan or inf meets.
     `kernel` (optional) carries exact conditional-expectation machinery;
     see mdplab.transfer for the kernel interface.
     """
@@ -214,8 +214,8 @@ class ProcessModel:
     def sample(self, n: int, stream: RngStream) -> Path:
         if n < 1:
             raise ValueError("n must be >= 1")
-        values, states = self._checked(self.sampler(n, stream.generator()), (n,))
-        return Path(values=values, states=states)
+        values, states = self._checked(self.sampler(n, stream.generator(), 1), (1, n))
+        return Path(values=values[0], states=None if states is None else states[0])
 
     def sample_block(self, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
         """(reps, n) array of values: reps independent paths from one generator."""

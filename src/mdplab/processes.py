@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,7 +57,11 @@ class IIDSpec:
     def __post_init__(self):
         if self.law not in ("rademacher", "uniform", "two_point"):
             raise ValueError(f"unknown iid law {self.law!r}")
+        if self.law == "uniform" and not self.c > 0:
+            raise ValueError("uniform law needs c > 0")
         if self.law == "two_point":
+            if not 0 < self.p < 1:
+                raise ValueError("two-point law needs 0 < p < 1")
             mean = self.p * self.a + (1 - self.p) * self.b
             if abs(mean) > 1e-12:
                 raise ValueError("two-point law must have mean zero")
@@ -110,6 +114,12 @@ class LinearProcessSpec:
     f_bound: Optional[float] = None
     truncation_tol: float = 1e-8
 
+    def __post_init__(self):
+        if self.coeff_kind not in ("geometric", "power", "delta"):
+            raise ValueError(f"unknown coefficient kind {self.coeff_kind!r}")
+        if not abs(self.rho) < 1:
+            raise ValueError("geometric ratio rho must satisfy |rho| < 1")
+
     def coefficient(self, i: int) -> float:
         if i < 0:
             return 0.0
@@ -124,7 +134,8 @@ class LinearProcessSpec:
         if self.coeff_kind == "delta":
             return 0.0 if m > 0 else abs(self.C)
         if self.coeff_kind == "geometric":
-            return abs(self.C) * self.rho**m / (1.0 - self.rho)
+            r = abs(self.rho)
+            return abs(self.C) * r**m / (1.0 - r)
         p = self.power
         if p <= 1.0:
             return math.inf
@@ -194,6 +205,10 @@ class CounterexampleChainSpec:
     tail_power: float = 4.0
     j_max: int = 200
 
+    def __post_init__(self):
+        if not self.j_max >= 1:
+            raise ValueError("j_max must be at least 1")
+
     def tau_pmf(self) -> np.ndarray:
         j = np.arange(1, self.j_max + 1, dtype=float)
         w = j ** (-self.tail_power)
@@ -203,14 +218,11 @@ class CounterexampleChainSpec:
 # ---------------------------------------------------------------------------
 # builders
 #
-# Each sampler has one body for both shapes of the ProcessModel contract.
-# Per-path scalars (initial states) are drawn as one vector before the path
-# arrays, so a block's rows equal the paths of sequential reps=None calls only
-# for models without such a scalar; a one-row block always equals reps=None.
-
-
-def _shape(reps: Optional[int], length: int) -> tuple:
-    return (length,) if reps is None else (reps, length)
+# Every sampler draws a (reps, n) block. Per-path scalars (initial states)
+# are drawn as one vector before the path arrays, so a block's rows equal
+# sequential one-row blocks only for models without such a scalar. Two
+# choices read the block size: a one-row iterated chain runs its recurrence
+# on Python floats, and only a one-row circle walk returns its exact states.
 
 
 # bit generators whose raw output is one uniform 64-bit word: for them
@@ -255,8 +267,8 @@ def make_iid(spec: IIDSpec) -> ProcessModel:
         states = np.linspace(-spec.c, spec.c, m)
         kernel = FiniteStateKernel(np.full((m, m), 1.0 / m), states=states)
 
-    def sampler(n, rng, reps=None):
-        v = spec.draw(_shape(reps, n), rng)
+    def sampler(n, rng, reps):
+        v = spec.draw((reps, n), rng)
         return v, v
 
     return ProcessModel(name=f"iid_{spec.law}", bound=spec.bound, sampler=sampler,
@@ -269,10 +281,10 @@ def make_alternating_plus_iid(iid: IIDSpec) -> ProcessModel:
                                states=np.array([-1.0, 1.0]),
                                noise_var=iid.variance)
 
-    def sampler(n, rng, reps=None):
+    def sampler(n, rng, reps):
         q0 = np.where(rng.random(reps) < 0.5, 1.0, -1.0)
-        signs = q0[..., None] * np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
-        y = iid.draw(_shape(reps, n), rng)
+        signs = q0[:, None] * np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
+        y = iid.draw((reps, n), rng)
         return signs + y, signs
 
     return ProcessModel(name="alternating_plus_iid", bound=1.0 + iid.bound,
@@ -362,7 +374,7 @@ def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
     y_bound = float(np.sum(np.abs(coeffs)) + spec.tail_abs_sum(M + 1)) * inn.bound
     if inn.law == "uniform":
         def linear_values(n, rng, reps):
-            eps = inn.draw(_shape(reps, n + M), rng)
+            eps = inn.draw((reps, n + M), rng)
             # one convolution over the rows laid end to end; each row's n
             # outputs are the windows inside it, the M straddling ones dropped
             y = np.convolve(eps.ravel(), coeffs, mode="valid")
@@ -373,11 +385,10 @@ def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
         groups = _sign_window_tables(coeffs, values)
 
         def linear_values(n, rng, reps):
-            shape = (1 if reps is None else reps, n + M)
+            shape = (reps, n + M)
             packed = _fair_bytes(rng, shape) if inn.law == "rademacher" else \
                 np.packbits(rng.random(shape) < inn.p, axis=-1, bitorder="little")
-            y = _table_sums(packed, n, groups)
-            return y[0] if reps is None else y
+            return _table_sums(packed, n, groups)
 
     f = spec.f if spec.f is not None else (lambda y: y)
     if spec.f is None:
@@ -388,10 +399,10 @@ def make_linear_process(spec: LinearProcessSpec) -> ProcessModel:
             raise ValueError("a custom observable must declare f_bound")
         # center empirically once, with a pinned named stream
         rng = RngStream(0xC0FFEE).named("linear-center").generator()
-        center = float(np.mean(f(linear_values((1 << 20) - M, rng, None))))
+        center = float(np.mean(f(linear_values((1 << 20) - M, rng, 1)[0])))
         bound = 2 * spec.f_bound
 
-    def sampler(n, rng, reps=None):
+    def sampler(n, rng, reps):
         y = linear_values(n, rng, reps)
         return f(y) - center if spec.f is not None else y
 
@@ -436,23 +447,23 @@ def make_iterated_function(spec: IteratedFunctionSpec) -> ProcessModel:
     mean = kernel.mu(np.asarray(f(nodes), dtype=float))  # stationary mean of f
     obs = lambda y: f(y) - mean
 
-    def sampler(n, rng, reps=None):
-        eps = rng.random(_shape(reps, n + burn))
+    def sampler(n, rng, reps):
+        eps = rng.random((reps, n + burn))
         y0 = rng.random(reps)
-        drive = (1.0 - rho) * np.moveaxis(eps, -1, 0)[1:]
-        if reps is None:
-            y = _ar1_path(y0, drive, rho)
+        drive = (1.0 - rho) * eps.T[1:]
+        if reps == 1:
+            y = _ar1_path(float(y0[0]), drive.ravel(), rho)[None]
         else:
             # the recurrence runs over time; each step updates every row at
-            # once, in place: rho * y, then + d, as in the single path
+            # once, in place: rho * y, then + d, as in `_ar1_path`
             y = np.empty((len(drive) + 1, reps))
             y[0] = y0
             for t, d in enumerate(drive):
                 np.multiply(y[t], rho, out=y[t + 1])
                 y[t + 1] += d
             y = y.T
-        # n+1 states: y[..., burn-1] is the pre-observation state
-        return obs(y[..., burn:]), y[..., burn - 1:]
+        # n+1 states: y[:, burn-1] is the pre-observation state
+        return obs(y[:, burn:]), y[:, burn - 1:]
 
     bound = float(np.max(np.abs(fx - mean)))
     return ProcessModel(name="iterated_function", bound=bound * (1 + 1e-9),
@@ -489,7 +500,7 @@ _DIGIT_CHUNK = 1 << 16  # about this many orbit values per pass of _digit_shift_
 
 
 def _digit_shift_orbit(n: int, beta: int, rng: np.random.Generator,
-                       reps: Optional[int] = None) -> np.ndarray:
+                       reps: int) -> np.ndarray:
     """Orbits of x -> beta*x mod 1 under the invariant (Lebesgue) measure, exact.
 
     x_k is read off a window of `depth` iid base-beta digits, so the shift
@@ -498,7 +509,7 @@ def _digit_shift_orbit(n: int, beta: int, rng: np.random.Generator,
     beta = 2 and within about one ulp of the rational otherwise.
     """
     depth = _digit_depth(beta)
-    shape = _shape(reps, n + depth)
+    shape = (reps, n + depth)
     digits = _fair_bits(rng, shape).astype(np.int64) if beta == 2 \
         else rng.integers(0, beta, shape)
     # beta^-depth = hi + lo, lo the rounding error of hi; X = high + low with
@@ -508,23 +519,21 @@ def _digit_shift_orbit(n: int, beta: int, rng: np.random.Generator,
     lo = float(Fraction(1, beta**depth) - Fraction(hi))
     # x_k overwrites d_k in place: a pass reads only digits at or right of
     # its own first column, and passes run left to right
-    grid = digits.reshape(-1, n + depth)
-    x = grid.view(np.float64)[:, :n]
+    x = digits.view(np.float64)[:, :n]
     height = max(1, _DIGIT_CHUNK // n)
-    for r in range(0, grid.shape[0], height):
+    for r in range(0, reps, height):
         for s in range(0, n, _DIGIT_CHUNK):
             e = min(s + _DIGIT_CHUNK, n)
-            window = _digit_windows(grid[r:r + height, s:e + depth - 1], beta, depth)
+            window = _digit_windows(digits[r:r + height, s:e + depth - 1], beta, depth)
             out = x[r:r + height, s:e]
             np.multiply(window & 2047, hi, out=out)
             out += window * lo
             window &= ~2047
             out += window * hi
-    return x[0] if reps is None else x
+    return x
 
 
-def _gauss_orbit(n: int, rng: np.random.Generator,
-                 reps: Optional[int] = None) -> np.ndarray:
+def _gauss_orbit(n: int, rng: np.random.Generator, reps: int) -> np.ndarray:
     """Orbits of the Gauss map x -> frac(1/x) under the Gauss measure, exact.
 
     A row starts at x_0 = X 2^-B, X a B-bit uniform accepted when a second one
@@ -539,13 +548,11 @@ def _gauss_orbit(n: int, rng: np.random.Generator,
         raise ValueError(f"Gauss-map orbit length capped at {GAUSS_ORBIT_CAP}")
     words = -(-(4 * n + 256) // 64)
     one = 1 << 64 * words
-    out = np.empty(_shape(reps, n))
-    for row in out.reshape(-1, n):
+    out = np.empty((reps, n))
+    for row in out:
         while True:
-            # words read little-endian, so the start does not depend on the
-            # host's byte order
-            x, v = (int.from_bytes(w.astype("<u8", copy=False).tobytes(), "little")
-                    for w in rng.integers(0, 2**64, (2, words), dtype=np.uint64))
+            x, v = (int.from_bytes(w.tobytes(), "little")
+                    for w in _fair_bytes(rng, (2, 64 * words)))
             if v * (one + x) < one * one:
                 break
         p, q, values = x, one, []
@@ -580,7 +587,7 @@ def make_expanding_map(spec: ExpandingMapSpec) -> ProcessModel:
     else:
         mean = kernel.mu(np.asarray(f(kernel.nodes), dtype=float))
 
-    def sampler(n, rng, reps=None):
+    def sampler(n, rng, reps):
         x = draw_orbit(n, rng, reps)
         return f(x) - mean, x
 
@@ -622,34 +629,33 @@ def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
     d, fractions, scaled = _exact_rotation(spec.a)
     mask = (1 << d) - 1
 
-    def sampler(n, rng, reps=None):
-        rows = 1 if reps is None else reps
-        xi0 = rng.random(rows)
+    def sampler(n, rng, reps):
+        xi0 = rng.random(reps)
         # the walk's integer position m_k = sum of k signs, exact
-        walk = _fair_bits(rng, (rows, n)).astype(np.int64)
+        walk = _fair_bits(rng, (reps, n)).astype(np.int64)
         walk *= 2
         walk -= 1
         walk.cumsum(axis=1, out=walk)
         lo = int(walk.min())
         walk -= lo  # index into the visited range lo..max
         frac = fractions(np.arange(lo, lo + int(walk.max()) + 1))
-        if reps is None:
-            # a single path keeps its states (a block omits them):
+        if reps == 1:
+            # a one-row block keeps its states (a larger block omits them):
             # xi_k = frac(xi0 + a m_k) in exact integers mod 2^D, rounded once;
             # n+1 states: xi0 first, so conditioning on the pre-walk position works
-            states = np.empty(n + 1)
-            states[0] = xi0[0]
-            pos = frac.take(walk[0])
+            states = np.empty((1, n + 1))
+            states[:, 0] = xi0
+            pos = frac.take(walk)
             pos += scaled(xi0)[0]
             pos &= mask
-            states[1:] = pos
+            states[:, 1:] = pos
             del pos
-            states[1:] *= 2.0**-d
+            states[:, 1:] *= 2.0**-d
         # values: f at frac(xi0 + a j) for every row and visited j, as
         # Re sum_k c_k e(k xi0) e(k frac(a j)), then one gather per value:
         # no cos and no mod per value
         t = np.multiply(frac, 2.0**-d, dtype=float, casting="unsafe")
-        table = np.zeros((rows, t.size))
+        table = np.zeros((reps, t.size))
         for w, c in modes:
             z, turn = c * np.exp(w * xi0), np.exp(w * t)
             table += np.multiply.outer(z.real, turn.real)
@@ -658,7 +664,7 @@ def make_circle_walk(spec: CircleWalkSpec) -> ProcessModel:
         # each value overwrites its own index (take reads index i before it
         # writes item i; mode="clip" takes no defensive copy)
         values = table.ravel().take(walk, out=walk.view(np.float64), mode="clip")
-        return (values[0], states) if reps is None else values
+        return (values, states) if reps == 1 else values
 
     return ProcessModel(name="circle_walk", bound=bound * (1 + 1e-9), sampler=sampler,
                         kernel=kernel, meta={"a": spec.a, "coeffs": dict(centered),
@@ -700,17 +706,17 @@ def make_counterexample_chain(spec: CounterexampleChainSpec) -> ProcessModel:
     if bal > 1e-12:
         raise RuntimeError(f"stationary age law fails balance equations ({bal:.2e})")
 
-    def sampler(n, rng, reps=None):
-        y = np.empty(_shape(reps, n + 1), dtype=np.int64)
-        y[..., 0] = rng.choice(tau.size, p=pi, size=reps)
+    def sampler(n, rng, reps):
+        y = np.empty((reps, n + 1), dtype=np.int64)
+        y[:, 0] = rng.choice(tau.size, p=pi, size=reps)
         for k in range(1, n + 1):
-            y[..., k] = y[..., k - 1] - 1
-            renew = y[..., k - 1] == 0
+            y[:, k] = y[:, k - 1] - 1
+            renew = y[:, k - 1] == 0
             if np.any(renew):
                 # tau - 1, folded renewal
-                y[..., k][renew] = rng.choice(tau.size, p=tau, size=int(np.sum(renew)))
-        xi = _fair_bits(rng, _shape(reps, n)) * 2.0 - 1.0
-        states = y[..., 1:]
+                y[renew, k] = rng.choice(tau.size, p=tau, size=int(np.sum(renew)))
+        xi = _fair_bits(rng, (reps, n)) * 2.0 - 1.0
+        states = y[:, 1:]
         return xi * (states != 0), states
 
     return ProcessModel(name="counterexample_chain", bound=1.0, sampler=sampler,

@@ -93,7 +93,7 @@ def test_simulate_task_writes_csv_and_manifest(tmp_path):
 def test_simulate_rows_are_the_named_replica_paths(tmp_path, model_cfg):
     # 2^16 // 4096 = 16 rows a block: three blocks, the last one short;
     # uniform values make the partial sums depend on the order of addition;
-    # the circle's one-row blocks omit the states its single paths carry
+    # `sample_rows` drops the states the circle's one-row blocks carry
     n, reps, seed = 4096, 40, 11
     cfg = write_cfg(tmp_path, "sim.json", {
         "task": "simulate", "seed": seed, "model": model_cfg,
@@ -357,12 +357,28 @@ SCAN = {"n_grid": [64], "x_grid": [1.0], "sigma2": 1.0}
     ("mdp-scan", {"kind": "circle"}, SCAN),  # exact_binomial, the default
     ("mdp-scan", {"kind": "iid", "law": "uniform"}, {**SCAN, "method": "exact_binomial"}),
     ("mdp-scan", {"kind": "linear"}, {**SCAN, "method": "tilted", "replicas": 100}),
+    # malformed model specs
+    ("simulate", {"kind": "linear", "rho": 1.0}, {}),
+    ("simulate", {"kind": "linear", "rho": 1.5}, {}),
+    ("simulate", {"kind": "linear", "coeff_kind": "bogus"}, {}),
+    ("simulate", {"kind": "counterexample", "j_max": 0}, {}),
+    ("simulate", {"kind": "iid", "law": "uniform", "c": -1}, {}),
+    ("simulate", {"kind": "iid", "law": "two_point", "p": 1.0, "a": 0.0, "b": 2.0}, {}),
 ])
 def test_malformed_param_types_are_config_errors(tmp_path, capsys, task, model, params):
     cfg = {"task": task, "params": params, "output_dir": str(tmp_path / "out")}
     if model is not None:
         cfg["model"] = model
     assert main(["run", write_cfg(tmp_path, "typed.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_boolean_seed_is_a_config_error(tmp_path, capsys, seed):
+    cfg = {"task": "simulate", "seed": seed, "model": {"kind": "iid"},
+           "params": {"n": 8, "replicas": 2}, "output_dir": str(tmp_path / "out")}
+    assert main(["run", write_cfg(tmp_path, "seed.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
 

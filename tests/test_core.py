@@ -96,14 +96,13 @@ def test_speed_sequence_gamma_range():
 
 def test_model_bound_enforced():
     model = ProcessModel(name="bad", bound=0.5,
-                         sampler=lambda n, rng: np.ones(n))
+                         sampler=lambda n, rng, reps: np.ones((reps, n)))
     with pytest.raises(RuntimeError):
         model.sample(4, RngStream(0))
 
 
-def _coin_block(n, rng, reps=None):
-    shape = (n,) if reps is None else (reps, n)
-    return rng.integers(0, 2, shape) * 2.0 - 1.0
+def _coin_block(n, rng, reps):
+    return rng.integers(0, 2, (reps, n)) * 2.0 - 1.0
 
 
 def test_sample_batch_shape_and_determinism():
@@ -138,7 +137,7 @@ def test_sample_batch_reraises_late_bound_violation(chunk_workers):
     stream = RngStream(9).named("late")
     bad_key = stream.child(6).generator().bit_generator.state["state"]["key"]
 
-    def sampler(n, rng, reps=None):
+    def sampler(n, rng, reps):
         out = _coin_block(n, rng, reps)
         if np.array_equal(rng.bit_generator.state["state"]["key"], bad_key):
             out[-1, -1] = 2.0  # one value out of bounds, in chunk 6 of 8
@@ -173,9 +172,9 @@ def test_sample_block_shape_and_bound_check():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_fail_the_bound_check(bad):
-    def sampler(n, rng, reps=None):
-        out = np.zeros((n,) if reps is None else (reps, n))
-        out[..., -1] = bad
+    def sampler(n, rng, reps):
+        out = np.zeros((reps, n))
+        out[:, -1] = bad
         return out
 
     model = ProcessModel(name="non-finite", bound=1.0, sampler=sampler)
@@ -187,7 +186,7 @@ def test_non_finite_values_fail_the_bound_check(bad):
 
 def test_sample_block_rejects_wrong_shape():
     model = ProcessModel(name="flat", bound=1.0,
-                         sampler=lambda n, rng, reps=None: np.zeros(n))
+                         sampler=lambda n, rng, reps: np.zeros(n))
     with pytest.raises(RuntimeError, match="shape"):
         model.sample_block(8, 3, RngStream(0).generator())
     with pytest.raises(RuntimeError, match="shape"):
@@ -199,10 +198,10 @@ def test_sample_rows_checks_every_row_in_one_block_check(bad):
     streams = [RngStream(5).named("rows", r) for r in range(5)]
     bad_key = streams[3].generator().bit_generator.state["state"]["key"]
 
-    def sampler(n, rng, reps=None):
+    def sampler(n, rng, reps):
         out = _coin_block(n, rng, reps)
         if np.array_equal(rng.bit_generator.state["state"]["key"], bad_key):
-            out[..., n // 2] = bad  # one value of row 3 of 5
+            out[:, n // 2] = bad  # one value of row 3 of 5
         return out
 
     model = ProcessModel(name="coin", bound=1.0, sampler=sampler)

@@ -136,7 +136,7 @@ def test_verify_domination_matches_per_replica_loop():
     for ci, start in enumerate(range(0, replicas, chunk)):
         rng = stream.child(ci).generator()
         for _ in range(min(chunk, replicas - start)):
-            values, _ = model.sampler(n, rng)
+            values, _ = model.sampler(n, rng, 1)
             maxima.append(np.max(np.abs(np.cumsum(values))))
     maxima = np.array(maxima)
     for rep, t in zip(reports, thresholds):
@@ -180,7 +180,7 @@ def test_verify_domination_reraises_chunk_3_bound_error(chunk_workers, workers):
     stream = STREAM.named("dom-bad-chunk")
     bad_key = stream.child(3).generator().bit_generator.state["state"]["key"]
 
-    def sampler(n, rng, reps=None):
+    def sampler(n, rng, reps):
         values = rng.integers(0, 2, (reps, n)) * 2.0 - 1.0
         if np.array_equal(rng.bit_generator.state["state"]["key"], bad_key):
             values[-1, -1] = 1.5  # only chunk 3 breaks the bound

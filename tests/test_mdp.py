@@ -313,7 +313,7 @@ def test_naive_estimator_matches_per_replica_loop():
     for ci, start in enumerate(range(0, replicas, 1024)):
         rng = sub.child(ci).generator()
         for _ in range(min(1024, replicas - start)):
-            values, _ = model.sampler(n, rng)
+            values, _ = model.sampler(n, rng, 1)
             hits += float(np.sum(values)) >= t
     assert point.estimate == math.log(hits / replicas)
 

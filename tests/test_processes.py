@@ -89,17 +89,25 @@ def test_linear_process_matches_direct_convolution():
     model = make_linear_process(spec)
     n, M = 16, model.meta["truncation_radius"]
     coeffs = [Fraction(spec.coefficient(i)) for i in range(M + 1)]
-    for reps in (None, 5):
+    for reps in (1, 5):
         values = model.sampler(n, RngStream(7).generator(), reps)
-        shape = (n + M,) if reps is None else (reps, n + M)
-        eps = spec.innovation.draw(shape, RngStream(7).generator())
-        assert values.shape == shape[:-1] + (n,)
-        for row, e in zip(np.atleast_2d(values), np.atleast_2d(eps)):
+        eps = spec.innovation.draw((reps, n + M), RngStream(7).generator())
+        assert values.shape == (reps, n)
+        for row, e in zip(values, eps):
             # Y_t = sum_i c_i eps_(t-i), with eps_t at e[t + M]
             exact = [sum(c * Fraction(e[t + M - i]) for i, c in enumerate(coeffs))
                      for t in range(n)]
             assert [Fraction(v) for v in row] == exact
         assert np.max(np.abs(values)) <= model.bound + 1e-12
+
+
+@pytest.mark.parametrize("rho", [-0.5, -0.9])
+def test_geometric_tail_sums_absolute_coefficients(rho):
+    # c_i = C rho^i alternates in sign for rho < 0; the tail bounds sum |c_i|
+    spec = LinearProcessSpec(coeff_kind="geometric", C=-3.0, rho=rho)
+    for m in (0, 1, 7, 40):
+        want = math.fsum(abs(spec.coefficient(i)) for i in range(m, m + 2000))
+        assert spec.tail_abs_sum(m) == pytest.approx(want, rel=1e-12)
 
 
 def _scanned_radius(spec):
@@ -119,7 +127,7 @@ INNOVATIONS = [IIDSpec(), IIDSpec(law="uniform", c=0.7),
 @pytest.mark.parametrize("innovation", INNOVATIONS, ids=["rademacher", "uniform", "two_point"])
 def test_truncation_radius_equals_the_linear_scan(innovation):
     coeffs = ([dict(coeff_kind="geometric", C=C, rho=rho)
-               for C in (1.0, 0.25, -3.0) for rho in (0.1, 0.5, 0.9, 0.99)]
+               for C in (1.0, 0.25, -3.0) for rho in (-0.5, 0.1, 0.5, 0.9, 0.99)]
               + [dict(coeff_kind="power", C=C, power=p)
                  for C in (1.0, -3.0) for p in (2.5, 3.0, 4.0, 7.5)]
               + [dict(coeff_kind="delta", C=C) for C in (1.0, 1e-12)])
@@ -314,7 +322,7 @@ def _values(out):
 
 @pytest.mark.parametrize("key", sorted(BUILDS))
 def test_single_path_is_the_one_row_block(key):
-    # reps=None and a one-row block consume the generator in the same order
+    # a path is row 0 of the one-row block
     model = BUILDS[key]()
     n = 40
     path = model.sample(n, STREAM.named("one-row", n))
@@ -351,7 +359,7 @@ def test_block_equals_sequential_draws(key):
     n, reps = 64, 6
     block = model.sample_block(n, reps, STREAM.named("seq").generator())
     rng = STREAM.named("seq").generator()
-    rows = np.array([_values(model.sampler(n, rng)) for _ in range(reps)])
+    rows = np.concatenate([_values(model.sampler(n, rng, 1)) for _ in range(reps)])
     assert np.array_equal(block, rows)
 
 
@@ -408,6 +416,7 @@ CIRCLE_STEPS = {
 MULTI_MODE = {1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: -0.15j, -2: 0.15j, 3: 0.1, -3: 0.1}
 
 
+# reps None: the path `sample` draws, the one-row block with its states
 @pytest.mark.parametrize("reps", [None, 7])
 @pytest.mark.parametrize("n", [1, 7, 300])
 @pytest.mark.parametrize("step", sorted(CIRCLE_STEPS))
@@ -415,45 +424,51 @@ def test_circle_states_are_the_correctly_rounded_exact_positions(step, n, reps):
     a = CIRCLE_STEPS[step]
     model = make_circle_walk(CircleWalkSpec(a=a, coeffs=MULTI_MODE))
     stream = STREAM.named(f"circle-exact-{step}", n)
-    out = model.sampler(n, stream.generator(), reps)
+    rows = 1 if reps is None else reps
+    out = model.sampler(n, stream.generator(), rows)
     # reference: the same draws, in the same order, walked in exact rationals
     rng = stream.generator()
-    rows = 1 if reps is None else reps
     xi0 = rng.random(rows)
     walk = np.cumsum(_fair_bits(rng, (rows, n)).astype(int) * 2 - 1, axis=1)
     want = np.array([[float(x)] + [float((Fraction(x) + Fraction(a) * int(m)) % 1) for m in row]
                      for x, row in zip(xi0, walk)])
     if reps is None:
         values, states = out
-        assert np.array_equal(states, want[0])
+        assert np.array_equal(states, want)
+        path = model.sample(n, stream)
+        assert np.array_equal(path.states, want[0])
     else:
-        values = out  # a block omits its states
+        values = out  # a larger block omits its states
     # the values are the observable at the exact states, to rounding
     tol = 16 * np.finfo(float).eps * sum(abs(c) for c in MULTI_MODE.values())
     direct = model.kernel.eval_coeffs(model.meta["coeffs"], want[:, 1:])
-    assert np.max(np.abs(np.atleast_2d(values) - direct)) <= tol
+    assert np.max(np.abs(values - direct)) <= tol
     if reps is None:
-        block = model.sample_block(n, 1, stream.generator())
-        assert np.array_equal(block[0], values)
+        assert np.array_equal(path.values, values[0])
 
 
-def _float_window_orbit(n, beta, rng, reps=None):
+def _float_window_orbit(n, beta, rng, reps):
     # reference: the depth-tap float dot product over a strided window view
     depth = max(2, int(math.ceil(53 / math.log2(beta))))
-    shape = (n + depth,) if reps is None else (reps, n + depth)
+    shape = (reps, n + depth)
     digits = _fair_bits(rng, shape) if beta == 2 else rng.integers(0, beta, shape)
     digits = digits.astype(float)
     windows = sliding_window_view(digits, depth, axis=-1)[..., :n, :]
     return windows @ (beta ** (-np.arange(1, depth + 1, dtype=float)))
 
 
+# reps None: the orbit a doubling-map path carries as its states
 @pytest.mark.parametrize("n,reps", [(1, None), (300, None), (2**20, None),
                                     (5, 3), (256, 1024)])
 def test_doubling_digit_windows_equal_the_float_window(n, reps):
     # beta = 2: every partial sum is a multiple of 2^-53 below 1, so exact
     stream = STREAM.named("digits-2", n)
-    got = _digit_shift_orbit(n, 2, stream.generator(), reps)
-    assert np.array_equal(got, _float_window_orbit(n, 2, stream.generator(), reps))
+    want = _float_window_orbit(n, 2, stream.generator(), 1 if reps is None else reps)
+    if reps is None:
+        got = BUILDS["doubling"]().sample(n, stream).states[None]
+    else:
+        got = _digit_shift_orbit(n, 2, stream.generator(), reps)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("beta", [3, 5, 7, 10, 1000, 1448])
@@ -482,8 +497,8 @@ def _traced_peak(fn):
 def test_digit_windows_transient_at_most_the_float_window():
     n = 2**20
     rng = lambda: STREAM.named("digits-peak").generator()
-    assert _traced_peak(lambda: _digit_shift_orbit(n, 2, rng())) <= \
-        _traced_peak(lambda: _float_window_orbit(n, 2, rng()))
+    assert _traced_peak(lambda: _digit_shift_orbit(n, 2, rng(), 1)) <= \
+        _traced_peak(lambda: _float_window_orbit(n, 2, rng(), 1))
     # a checked 2^20-value path holds its values and its orbit, and at most
     # 1 MiB besides (the float window took three path-sized arrays)
     model = make_expanding_map(ExpandingMapSpec(map="doubling", mean=0.0))
@@ -519,7 +534,7 @@ def test_gauss_blocks_deterministic_under_the_chunk_pool(chunk_workers, workers)
 
 @pytest.mark.parametrize("n", [1, 7, 2**16])
 def test_iterated_path_equals_the_numpy_scalar_recurrence(n):
-    # the single path runs the recurrence on Python floats; it must give the
+    # a path runs the recurrence on Python floats; it must give the
     # bits of the row-vector formula on numpy scalars, from the same draws
     model = BUILDS["iterated"]()
     rho, burn, obs = model.meta["rho"], model.meta["burn_in"], model.meta["observable"]
@@ -535,8 +550,9 @@ def test_iterated_path_equals_the_numpy_scalar_recurrence(n):
 
 @pytest.mark.parametrize("n,reps", [(1, 3), (7, 1), (300, 64)])
 def test_iterated_block_equals_the_accumulate_recurrence(n, reps):
-    # the block runs the recurrence in place, one time step for every row at
-    # once; it must give the bits of the accumulated row-vector formula
+    # a block of more rows runs the recurrence in place, one time step for
+    # every row at once, a one-row block on Python floats; both must give the
+    # bits of the accumulated row-vector formula
     model = BUILDS["iterated"]()
     rho, burn, obs = model.meta["rho"], model.meta["burn_in"], model.meta["observable"]
     values, states = model.sampler(n, STREAM.named("iterated-2d", n).generator(), reps)

@@ -24,9 +24,6 @@ UNREFERENCED = {
     "IteratedFunctionKernel": "grid reference kernel the benchmark probe imports (ROADMAP item 2)",
 }
 
-_SAMPLER_REPS = ("sampler contract: `sample` draws one path (reps None), "
-                 "`sample_block` and `sample_rows` a block of reps rows")
-
 # `qualname.param` of every def parameter with a default, with the callers
 # that set it to different values
 KNOBS = {
@@ -51,12 +48,6 @@ KNOBS = {
                                   "points read the model's meta; exact points need none",
     "mdp_scan.replicas": "the CLI passes the config's replicas; exact scans in tests pass none",
     "mdp_scan.stream": "the CLI passes named('mdp-scan'); exact scans in tests pass none",
-    **dict.fromkeys(
-        [f"{builder}.sampler.reps" for builder in (
-            "make_iid", "make_alternating_plus_iid", "make_linear_process",
-            "make_iterated_function", "make_expanding_map", "make_circle_walk",
-            "make_counterexample_chain")] + ["_digit_shift_orbit.reps", "_gauss_orbit.reps"],
-        _SAMPLER_REPS),
     "GridFunction.from_callable.n_points": "criterion 4 at DEFAULT_GRID; transfer tests "
                                            "257 to 4097 nodes",
     "IntegerBetaPFKernel.__init__.n_points": "criterion 4 at DEFAULT_GRID; transfer "
