@@ -178,9 +178,11 @@ class ProcessModel:
     Sampler contract: `sampler(n, rng, reps)` draws a block of shape
     (reps, n) from the generator `rng`, one independent stationary path per
     row, in one pass. It returns the values, or a pair (values, states) when
-    the model tracks an underlying Markov state, with states of shape
-    (reps, n) or (reps, n + 1). A block of more than one row may omit its
-    states, since no caller reads them. `sample` is row 0 of the one-row
+    the model tracks an underlying Markov state. A chain with memory records
+    n + 1 states, pre-path state first: states[:, k] is the state after k
+    steps and X_k is read off it. iid models record their n values, and
+    expanding maps their forward orbit x_1..x_n. A block of more than one
+    row may omit its states, since no caller reads them. `sample` is row 0 of the one-row
     block, states included. `sample`, `sample_block` and `sample_rows` are
     the checked entry points: they enforce the shape and the bound
     |x| <= bound on every value, which no nan or inf meets.

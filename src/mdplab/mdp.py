@@ -173,11 +173,18 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
                                check_blocks: int = 4) -> BlockDecomposition:
     """Split S_n into m-block martingale increments plus predictable means.
 
-    Requires an exact-kernel model with recorded states. On circle-walk
-    kernels the conditional means of up to `check_blocks` blocks are checked
-    against the walk's occupation weights (exact oracle, O(m^2) work). No
-    other kernel has such a check: there `cond_mean_check` is nan and
-    `cond_mean_checked` is False.
+    Block i, X_(im+1)..X_(im+m), is conditioned on states[i m], the state
+    before it, so the path needs the n + 1 states of a chain with memory
+    (see `ProcessModel`). n states serve only a kernel with equal rows, the
+    iid chains, where every conditional mean is 0; any other path is
+    refused with a ValueError. That refuses the expanding maps: their
+    states are the forward orbit, and their kernel, the transfer operator,
+    steps the time-reversed chain.
+
+    On circle-walk kernels the conditional means of up to `check_blocks`
+    blocks are checked against the walk's occupation weights (exact oracle,
+    O(m^2) work). No other kernel has such a check: there
+    `cond_mean_check` is nan and `cond_mean_checked` is False.
     """
     kernel, f_nodes = model.kernel, model.centered_observable()
     if path.states is None:
@@ -187,36 +194,23 @@ def block_martingale_decompose(model: ProcessModel, path, m: int,
     n_blocks = n // m
     if n_blocks < 1:
         raise ValueError("path shorter than one block")
+    st = np.asarray(path.states, dtype=float)
+    if st.size != n + 1 and not (st.size == n and np.all(kernel.matrix == kernel.matrix[0])):
+        raise ValueError(f"model {model.name} records {st.size} states for {n} values; "
+                         "block i is conditioned on the state before it, so decompose "
+                         "needs n + 1 states, or n states of a kernel with equal rows")
 
     block_sums = values[: n_blocks * m].reshape(n_blocks, m).sum(axis=1)
-    st = np.asarray(path.states, dtype=float)
-    if st.size == n + 1:
-        # states include the initial position: block i is entered at st[i*m]
-        starts = st[0 : n_blocks * m : m]
-        cond = _cond_block_means(kernel, f_nodes, starts, m)
-    elif st.size == n:
-        # no initial state recorded; memoryless kernels are unaffected
-        # (conditional means are state-free), block 0 falls back to the
-        # unconditional mean 0
-        starts = np.empty(n_blocks)
-        starts[0] = st[0]
-        starts[1:] = st[m - 1 : n_blocks * m - 1 : m]
-        cond = _cond_block_means(kernel, f_nodes, starts, m)
-        one_step = _cond_block_means(kernel, f_nodes, np.asarray(kernel.nodes), m)
-        if float(np.max(np.abs(one_step))) > 1e-12:
-            cond[0] = 0.0  # honest fallback; flagged via the check below
-    else:
-        raise ValueError("states must have length n or n+1")
+    starts = st[0 : n_blocks * m : m]
+    cond = _cond_block_means(kernel, f_nodes, starts, m)
     increments = block_sums - cond
     boundary = float(np.sum(values[n_blocks * m :]))
 
     check = math.nan
-    if isinstance(kernel, CircleFourierKernel):
-        first = 0 if st.size == n + 1 else 1
-        checked = np.arange(first, min(first + check_blocks, n_blocks))
-        if checked.size:
-            check = float(np.max(np.abs(_circle_block_means(kernel, starts[checked], m)
-                                        - cond[checked])))
+    checked = min(check_blocks, n_blocks)
+    if isinstance(kernel, CircleFourierKernel) and checked:
+        check = float(np.max(np.abs(_circle_block_means(kernel, starts[:checked], m)
+                                    - cond[:checked])))
     return BlockDecomposition(m=m, block_sums=block_sums, cond_means=cond,
                               increments=increments, boundary=boundary,
                               cond_mean_check=check,
@@ -394,12 +388,6 @@ class MdpPointEstimate:
     threshold: float
     estimate: Optional[float]  # a_n * log P, None when no exceedance observed
     se: float = 0.0
-    flags: tuple = ()
-
-    def gap(self, sigma2: float) -> Optional[float]:
-        if self.estimate is None:
-            return None
-        return self.estimate - (-(self.x**2) / (2.0 * sigma2))
 
 
 def method_refusal(method: str, model: ProcessModel) -> Optional[str]:
@@ -457,7 +445,7 @@ def empirical_mdp_point(model: ProcessModel, n: int, a_n: float, x: float,
         hits = sum(map_replicas(replicas, REPLICA_CHUNK, stream.named("naive", n), chunk_hits))
         if hits == 0:
             return MdpPointEstimate(n=n, a_n=a_n, x=x, method=method, threshold=t,
-                                    estimate=None, flags=("no_exceedance",))
+                                    estimate=None)
         p_hat = hits / replicas
         se_log = math.sqrt((1 - p_hat) / (p_hat * replicas))
         return MdpPointEstimate(n=n, a_n=a_n, x=x, method=method, threshold=t,
@@ -490,19 +478,6 @@ class DeviationScanReport:
     def to_json(self) -> str:
         return json.dumps({"columns": list(SCAN_COLUMNS), "rows": self.rows},
                           indent=2, sort_keys=True)
-
-    def gap_trend_ok(self) -> bool:
-        """For each (x, method): |gap| at the largest n below |gap| at the smallest."""
-        groups = {}
-        for r in self.rows:
-            if r["gap"] == "":
-                continue
-            groups.setdefault((r["x"], r["method"]), []).append((r["n"], abs(r["gap"])))
-        for pts in groups.values():
-            pts.sort()
-            if len(pts) >= 2 and pts[-1][1] >= pts[0][1]:
-                return False
-        return True
 
 
 def mdp_scan(model: ProcessModel, speed: SpeedSequence, n_grid: Sequence[int],

@@ -8,6 +8,7 @@ algorithm, and the circle walk carries an exact trigonometric collocation kernel
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 GAUSS_ORBIT_CAP = 10_000  # Euclid on 4n-bit integers costs O(n^2)
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max)  # the largest |x| whose x * x is finite
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,11 @@ class IIDSpec:
     def __post_init__(self):
         if self.law not in ("rademacher", "uniform", "two_point"):
             raise ValueError(f"unknown iid law {self.law!r}")
+        for name in ("c", "a", "b"):
+            # the variance squares c, a and b, and uniform draws span 2c
+            if not abs(getattr(self, name)) <= _SQUARE_LIMIT:  # false for nan
+                raise ValueError(f"iid law needs |{name}| <= {_SQUARE_LIMIT:.4g}, so that "
+                                 f"its square is finite; got {getattr(self, name)!r}")
         if self.law == "uniform" and not self.c > 0:
             raise ValueError("uniform law needs c > 0")
         if self.law == "two_point":
@@ -206,8 +213,8 @@ class CounterexampleChainSpec:
     j_max: int = 200
 
     def __post_init__(self):
-        if not self.j_max >= 1:
-            raise ValueError("j_max must be at least 1")
+        if type(self.j_max) is not int or self.j_max < 1:
+            raise ValueError(f"j_max must be an integer >= 1, got {self.j_max!r}")
 
     def tau_pmf(self) -> np.ndarray:
         j = np.arange(1, self.j_max + 1, dtype=float)
@@ -283,9 +290,10 @@ def make_alternating_plus_iid(iid: IIDSpec) -> ProcessModel:
 
     def sampler(n, rng, reps):
         q0 = np.where(rng.random(reps) < 0.5, 1.0, -1.0)
-        signs = q0[:, None] * np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
+        # n+1 states (-1)^k q0, k = 0..n: q0 first
+        signs = q0[:, None] * np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
         y = iid.draw((reps, n), rng)
-        return signs + y, signs
+        return signs[:, 1:] + y, signs
 
     return ProcessModel(name="alternating_plus_iid", bound=1.0 + iid.bound,
                         sampler=sampler, kernel=kernel,
@@ -716,8 +724,8 @@ def make_counterexample_chain(spec: CounterexampleChainSpec) -> ProcessModel:
                 # tau - 1, folded renewal
                 y[renew, k] = rng.choice(tau.size, p=tau, size=int(np.sum(renew)))
         xi = _fair_bits(rng, (reps, n)) * 2.0 - 1.0
-        states = y[:, 1:]
-        return xi * (states != 0), states
+        # n+1 states: the age y_0 drawn from the age law first
+        return xi * (y[:, 1:] != 0), y
 
     return ProcessModel(name="counterexample_chain", bound=1.0, sampler=sampler,
                         kernel=None,

@@ -4,8 +4,11 @@ Kernels carry functions by their values at `nodes` and expose `apply` (one
 operator step), `mu` (integral against the invariant measure), `eval`
 (the carried function at arbitrary points) and `sup` (its sup norm).
 
-The model builders use `ChebyshevKernel`: values at second-kind Chebyshev
-points, with `apply` one matrix-vector product. For the integer-beta maps,
+Every kernel a model carries, `FiniteStateKernel` and the collocation
+kernels, is a `_MatrixKernel`: `apply` is one product with its `matrix`
+and `mu` one with its invariant `weights`. The expanding-map and iterated
+models use `ChebyshevKernel`: values at second-kind Chebyshev points.
+For the integer-beta maps,
 the Gauss map and the iterated chain the operator maps analytic functions to
 analytic functions, so collocation converges exponentially in the number of
 points (Bandtlow & Slipantschuk 2020; Wormell, Numer. Math. 2019). Sup norms
@@ -250,8 +253,24 @@ class IteratedFunctionKernel(_UniformGridKernel):
         return float(np.trapezoid(values * self._inv_density, dx=1.0 / self.n_points))
 
 
-class FiniteStateKernel(Kernel):
-    """Finite-state chain on the values `states`: apply = P @ v, mu = pi . v."""
+class _MatrixKernel(Kernel):
+    """`apply` is one product with `matrix` and `mu` one with its left
+    Perron vector `weights`."""
+
+    def __init__(self, matrix: np.ndarray, weights: np.ndarray, nodes: np.ndarray):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.weights = weights
+        self.nodes = nodes
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.matrix @ np.asarray(values, dtype=float)
+
+    def mu(self, values: np.ndarray) -> float:
+        return float(self.weights @ np.asarray(values, dtype=float))
+
+
+class FiniteStateKernel(_MatrixKernel):
+    """Finite-state chain on the values `states`: `matrix` is P, `weights` pi."""
 
     def __init__(self, P: np.ndarray, states: np.ndarray, noise_var: float = 0.0):
         P = np.asarray(P, dtype=float)
@@ -259,19 +278,11 @@ class FiniteStateKernel(Kernel):
             raise ValueError("P must be square")
         if np.any(P < -1e-15) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("P must be row-stochastic")
-        self.P = P
         pi = stationary_distribution(P)
         if np.max(np.abs(P.T @ pi - pi)) > 1e-12:
             raise ValueError("pi is not stationary for P")
-        self.pi = pi
-        self.nodes = np.asarray(states, dtype=float)
+        super().__init__(P, pi, np.asarray(states, dtype=float))
         self.noise_var = noise_var
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.P @ np.asarray(values, dtype=float)
-
-    def mu(self, values: np.ndarray) -> float:
-        return float(self.pi @ np.asarray(values, dtype=float))
 
     def eval(self, values: np.ndarray, y) -> np.ndarray:
         """Value at the state nearest to each y (recorded states are node values)."""
@@ -314,24 +325,15 @@ def _sup_matrix(n: int) -> np.ndarray:
     return m
 
 
-class _CollocationKernel(Kernel):
-    """`apply` is one product with `matrix` and `mu` one with its left Perron
-    vector `weights`; `sup` reads the max on the nodes and, through the
-    C-contiguous (nodes, SUP_GRID + 1) evaluation matrix `grid`, on the
+class _CollocationKernel(_MatrixKernel):
+    """A matrix kernel whose `sup` reads the max on the nodes and, through
+    the C-contiguous (nodes, SUP_GRID + 1) evaluation matrix `grid`, on the
     uniform grid j/SUP_GRID."""
 
     def __init__(self, matrix: np.ndarray, weights: np.ndarray, nodes: np.ndarray,
                  grid: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.weights = weights
-        self.nodes = nodes
+        super().__init__(matrix, weights, nodes)
         self.grid = grid
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(values, dtype=float)
-
-    def mu(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
 
     @cached_property
     def lebesgue(self) -> float:

@@ -36,9 +36,6 @@ class SigmaEstimate:
     clamped: bool = False
     meta: dict = field(default_factory=dict)
 
-    def combined_se(self, other: "SigmaEstimate") -> float:
-        return float(np.hypot(self.se, other.se))
-
 
 def _clamp(value: float, method: str) -> tuple:
     if value < 0.0:

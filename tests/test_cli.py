@@ -258,6 +258,18 @@ def test_decompose_task_writes_null_when_unchecked(tmp_path):
     assert circle["cond_mean_checked"] is True and circle["cond_mean_check"] < 1e-10
 
 
+def test_decompose_task_refuses_an_expanding_map(tmp_path, capsys):
+    # the doubling map's states are its forward orbit, n of them, and its
+    # kernel steps the time-reversed chain: nothing to condition a block on
+    cfg = write_cfg(tmp_path, "dbl.json", {
+        "task": "decompose", "model": {"kind": "expanding", "map": "doubling"},
+        "params": {"n": 256, "m": 8}, "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 3
+    assert capsys.readouterr().err.startswith("refused:")
+    assert not (tmp_path / "out" / "decompose.csv").exists()
+
+
 def test_diophantine_task(tmp_path):
     cfg = write_cfg(tmp_path, "dio.json", {
         "task": "diophantine",
@@ -364,6 +376,13 @@ SCAN = {"n_grid": [64], "x_grid": [1.0], "sigma2": 1.0}
     ("simulate", {"kind": "counterexample", "j_max": 0}, {}),
     ("simulate", {"kind": "iid", "law": "uniform", "c": -1}, {}),
     ("simulate", {"kind": "iid", "law": "two_point", "p": 1.0, "a": 0.0, "b": 2.0}, {}),
+    # json writes inf as Infinity, which Python's json reads back
+    ("simulate", {"kind": "iid", "law": "uniform", "c": float("inf")}, {}),
+    ("simulate", {"kind": "alternating", "law": "uniform", "c": 1e308}, {}),  # c^2 overflows
+    ("simulate", {"kind": "iid", "law": "two_point", "p": 0.5, "a": float("nan"),
+                  "b": 1.0}, {}),
+    ("simulate", {"kind": "counterexample", "j_max": 2.5}, {}),
+    ("simulate", {"kind": "counterexample", "j_max": True}, {}),
 ])
 def test_malformed_param_types_are_config_errors(tmp_path, capsys, task, model, params):
     cfg = {"task": task, "params": params, "output_dir": str(tmp_path / "out")}

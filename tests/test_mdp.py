@@ -11,6 +11,7 @@ from scipy import special, stats
 from mdplab.core import REPLICA_CHUNK, RngStream, SpeedSequence
 from mdplab.mdp import (
     TILTED_CHUNK,
+    DeviationScanReport,
     PiecewiseLinearPath,
     _cgf,
     _circle_block_means,
@@ -32,9 +33,11 @@ from mdplab.processes import (
     CircleWalkSpec,
     IIDSpec,
     IteratedFunctionSpec,
+    make_alternating_plus_iid,
     make_circle_walk,
     make_iid,
     make_iterated_function,
+    model_from_config,
 )
 
 STREAM = RngStream(31415)
@@ -176,7 +179,10 @@ def test_empirical_point_exact_method():
     pt = empirical_mdp_point(model, 10_000, 10_000 ** (-1 / 3), 1.0,
                              method="exact_binomial")
     assert pt.estimate == pytest.approx(-0.6179, abs=0.02)
-    assert pt.gap(1.0) == pytest.approx(pt.estimate + 0.5, abs=1e-12)
+    # the scan row's gap is the estimate minus the target -x^2 / (2 sigma2)
+    rep = DeviationScanReport()
+    rep.add(model.name, pt, 1.0)
+    assert rep.rows[0]["gap"] == pytest.approx(pt.estimate + 0.5, abs=1e-12)
 
 
 def test_naive_method_refuses_hopeless_threshold():
@@ -224,7 +230,9 @@ def test_scan_report_columns_and_trend(tmp_path):
                        "estimate", "target", "gap", "se"]
     assert [int(r[1]) for r in rows[1:]] == [10**3, 10**4, 10**5]
     assert [float(r[5]) for r in rows[1:]] == [r["estimate"] for r in rep.rows]
-    assert rep.gap_trend_ok()
+    # one x and one method: |gap| at the largest n below |gap| at the smallest
+    gaps = [abs(r["gap"]) for r in rep.rows]
+    assert gaps[-1] < gaps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +240,61 @@ def test_scan_report_columns_and_trend(tmp_path):
 
 
 def test_decompose_iid_conditional_means_vanish():
+    # n states, one per value: an iid kernel's rows are equal, so the state
+    # a block is conditioned on does not matter and every mean is 0 exactly
     model = make_iid(IIDSpec())
     path = model.sample(512, STREAM.named("dec-iid"))
+    assert path.states.size == 512
     dec = block_martingale_decompose(model, path, m=8)
-    assert np.max(np.abs(dec.cond_means)) < 1e-12
+    assert np.all(dec.cond_means == 0.0)
     s_n = float(np.sum(path.values))
     assert dec.reconstruct() == pytest.approx(s_n, abs=1e-10)
+    for spec in (IIDSpec(law="uniform", c=0.5), IIDSpec(law="two_point", p=0.8, a=-0.25, b=1.0)):
+        model = make_iid(spec)
+        dec = block_martingale_decompose(model, model.sample(515, STREAM.named("dec-iid")), m=8)
+        assert np.all(dec.cond_means == 0.0), spec.law
+
+
+def test_decompose_refuses_an_expanding_map_path():
+    # the orbit x_1..x_n records no state before x_1, and the transfer
+    # operator is the kernel of the time-reversed chain
+    for cfg in ({"kind": "expanding", "map": "doubling"}, {"kind": "expanding", "map": "gauss"}):
+        model = model_from_config(cfg)
+        path = model.sample(256, STREAM.named("dec-expanding"))
+        with pytest.raises(ValueError, match="n \\+ 1 states"):
+            block_martingale_decompose(model, path, m=8)
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 8])
+def test_alternating_block_means_are_exact(m):
+    # X_k = s_k + Y_k with s_k = (-1)^k q0 and the states s_0..s_n: given
+    # s_(im), the block's mean is sum_(j<=m) (-1)^j s_(im), that is
+    # -s_(im) for odd m and 0 for even m, block 0 included
+    model = make_alternating_plus_iid(IIDSpec(law="uniform", c=0.5))
+    n = 9 * m
+    path = model.sample(n, STREAM.named("dec-alternating", m))
+    assert path.states.size == n + 1
+    dec = block_martingale_decompose(model, path, m=m)
+    starts = path.states[0:n:m]
+    assert np.array_equal(dec.cond_means, -starts if m % 2 else np.zeros(9))
+
+
+@pytest.mark.parametrize("name", ["circle", "iterated"])
+def test_decompose_is_the_block_start_formula(name):
+    # block i is conditioned on states[i m]: the sum of the first m rows of
+    # the centered observable's orbit, read at the block start, to the bit
+    model = (make_circle_walk(CircleWalkSpec(a=GOLDEN)) if name == "circle"
+             else make_iterated_function(IteratedFunctionSpec(rho=0.5)))
+    n, m = 1003, 8
+    path = model.sample(n, STREAM.named("dec-formula", name))
+    dec = block_martingale_decompose(model, path, m=m)
+    sums = path.values[:n // m * m].reshape(-1, m).sum(axis=1)
+    cond = _cond_block_means(model.kernel, model.centered_observable(),
+                             np.asarray(path.states, dtype=float)[0:n // m * m:m], m)
+    assert np.array_equal(dec.block_sums, sums)
+    assert np.array_equal(dec.cond_means, cond)
+    assert np.array_equal(dec.increments, sums - cond)
+    assert dec.boundary == float(np.sum(path.values[n // m * m:]))
 
 
 def test_decompose_circle_against_enumeration():

@@ -76,9 +76,10 @@ def test_alternating_model_signs():
     model = make_alternating_plus_iid(IIDSpec(law="uniform", c=0.5))
     path = model.sample(64, STREAM.named("alt"))
     signs = path.states
-    # deterministic alternation of the latent sign
+    # deterministic alternation of the latent sign, q0 first: n + 1 states
+    assert signs.shape == (65,)
     assert np.all(signs[1:] == -signs[:-1])
-    assert np.max(np.abs(path.values - signs)) <= 0.5 + 1e-12
+    assert np.max(np.abs(path.values - signs[1:])) <= 0.5 + 1e-12
 
 
 def test_linear_process_matches_direct_convolution():

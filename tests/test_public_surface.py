@@ -11,17 +11,19 @@ SRC = pathlib.Path(mdplab.__file__).parent
 
 # exported names that no library code references, each with why it stays
 UNREFERENCED = {
-    "check_s2inf": "wire into the counterexample's age-chain table (ROADMAP item 6)",
-    "rate_J_weighted": "wire into the functional MDP's weighted paths (ROADMAP item 3)",
-    "check_kac": "wire into a kac check of the CLI conditions task (ROADMAP item 4)",
-    "phi_coefficients": "wire into a phi check for finite-state models (ROADMAP item 4)",
-    "paroux_sum": "wire into an action of the CLI diophantine task (ROADMAP item 4)",
-    "blocking_bound_first_term": "wire into a reported column of criterion 3 (ROADMAP item 4)",
+    "check_s2inf": "wire into the counterexample's age-chain table (ROADMAP item 9)",
+    "rate_J_weighted": "wire into the functional MDP's weighted paths (ROADMAP item 6)",
+    "check_kac": "wire into a kac check of the CLI conditions task (ROADMAP item 8)",
+    "phi_coefficients": "wire into a phi check for finite-state models (ROADMAP item 8)",
+    "paroux_sum": "wire into an action of the CLI diophantine task (ROADMAP item 8)",
+    "blocking_bound_first_term": "wire into a reported column of criterion 3 (ROADMAP item 8)",
     "dist_to_integers": "exact scalar reference for dist_to_integers_array in tests",
     "sqrt2m1_spec": "test fixture",
     "liouville_literal": "test fixture",
-    "GaussPFKernel": "grid reference kernel the benchmark probe imports (ROADMAP item 2)",
-    "IteratedFunctionKernel": "grid reference kernel the benchmark probe imports (ROADMAP item 2)",
+    "GaussPFKernel": "grid reference kernel the benchmark probe imports; deleted with the "
+                     "grid family once the probe moves (ROADMAP items 4/5)",
+    "IteratedFunctionKernel": "grid reference kernel the benchmark probe imports; deleted "
+                              "with the grid family once the probe moves (ROADMAP items 4/5)",
 }
 
 # `qualname.param` of every def parameter with a default, with the callers

@@ -161,6 +161,24 @@ def test_finite_state_kernel_against_eigen_oracle():
     assert k.mu(f) == pytest.approx(float(pi @ f), abs=1e-12)
 
 
+def test_finite_state_kernel_is_a_matrix_kernel():
+    # apply and mu are the products with the transition matrix and its
+    # stationary law, to the bit, through the one base every model kernel shares
+    rng = np.random.default_rng(8)
+    for size in (2, 5, 64):
+        P = rng.random((size, size))
+        P /= P.sum(axis=1, keepdims=True)
+        pi = stationary_distribution(P)
+        k = FiniteStateKernel(P, states=np.arange(size, dtype=float))
+        assert np.array_equal(k.matrix, P) and np.array_equal(k.weights, pi)
+        assert not hasattr(k, "P") and not hasattr(k, "pi")
+        for v in rng.standard_normal((5, size)):
+            assert np.array_equal(k.apply(v), P @ v)
+            assert k.mu(v) == float(pi @ v)
+    for cls in (ChebyshevKernel, CircleFourierKernel):
+        assert cls.apply is FiniteStateKernel.apply and cls.mu is FiniteStateKernel.mu
+
+
 def test_iterated_function_kernel_contraction_report():
     k = IteratedFunctionKernel(rho=0.5, n_points=512)
     f = np.sin(2 * np.pi * k.nodes)
@@ -196,7 +214,7 @@ def test_conditional_sum_norm_profile_consistency():
     prof = conditional_sum_norm_profile(k, f, 8)
     assert prof.shape == (8,)
     for n in (1, 4, 8):
-        partial = sum(np.linalg.matrix_power(k.P, j) @ f for j in range(1, n + 1))
+        partial = sum(np.linalg.matrix_power(k.matrix, j) @ f for j in range(1, n + 1))
         assert prof[n - 1] == pytest.approx(np.max(np.abs(partial)), abs=1e-14)
 
 
@@ -514,7 +532,7 @@ def test_orbit_rows_are_kernel_powers():
     rows = orbit(k, f, 5)
     assert rows.shape == (5, 2)
     for n in range(1, 6):
-        assert np.allclose(rows[n - 1], np.linalg.matrix_power(k.P, n) @ f - k.mu(f),
+        assert np.allclose(rows[n - 1], np.linalg.matrix_power(k.matrix, n) @ f - k.mu(f),
                            atol=1e-15)
 
 

@@ -85,7 +85,7 @@ def test_circle_monte_carlo_matches_closed_form():
     paths = model.sample_batch(4000, 100, STREAM.named("var-circle"))
     mc = sigma2_covariance_series(paths, k_max=40)
     exact = sigma2_circle_fourier({1: 0.5, -1: 0.5}, GOLDEN)
-    assert mc.value == pytest.approx(exact.value, abs=4 * mc.combined_se(exact))
+    assert mc.value == pytest.approx(exact.value, abs=4 * float(np.hypot(mc.se, exact.se)))
 
 
 def test_negative_estimate_clamps_with_warning():
